@@ -12,6 +12,8 @@ goes for the genus-12 octic factor and is handled by the ``variant`` switch.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .errors import DomainError, GenusError, PoleError
 from .forms import BinaryForm
@@ -132,16 +134,9 @@ def _prefactor_R():
     return [0, -1, 0, 0, 0, 1]
 
 
-def _upoly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b == 0:
-                continue
-            out[i + j] = out[i + j] + a * b
-    return out
+def _product(*factors):
+    """Coefficients of a product of univariate coefficient lists."""
+    return reduce(mul, (BinaryForm(len(f) - 1, f) for f in factors)).coeffs
 
 
 def a4_curve_model(g: int, lambdas) -> BinaryForm:
@@ -159,16 +154,14 @@ def a4_curve_model(g: int, lambdas) -> BinaryForm:
         1: ((g - 1) // 6, _prefactor_T()),
         3: ((g - 3) // 6, _prefactor_octic()),
         2: ((g - 2) // 6, _prefactor_R()),
-        4: ((g - 4) // 6, _upoly_mul(_prefactor_R(), _prefactor_T())),
-        0: ((g - 6) // 6, _upoly_mul(_prefactor_R(), _prefactor_octic())),
+        4: ((g - 4) // 6, _product(_prefactor_R(), _prefactor_T())),
+        0: ((g - 6) // 6, _product(_prefactor_R(), _prefactor_octic())),
     }
     delta, prefactor = rows[r]
     if len(lambdas) != delta:
         raise GenusError(
             f"genus {g} ({group}) has dimension {delta}; got {len(lambdas)} branch parameters")
-    poly = prefactor if isinstance(prefactor, list) else [prefactor]
-    for lam in lambdas:
-        poly = _upoly_mul(poly, g_coefficients(lam))
+    poly = _product(prefactor, *map(g_coefficients, lambdas))
     return BinaryForm.from_univariate(poly, 2 * g + 2)
 
 
@@ -242,14 +235,14 @@ def rational_model(g: int, mu=None, variant: str = "adjudicated") -> BinaryForm:
     if g == 5:
         poly = M
     elif g == 7:
-        poly = _upoly_mul([-1, 0, 6, 0, 3], _dodecic_factor(mu, variant))
+        poly = _product([-1, 0, 6, 0, 3], _dodecic_factor(mu, variant))
     elif g == 8:
-        poly = _upoly_mul([0, -1, 0, 0, 0, mu], M)
+        poly = _product([0, -1, 0, 0, 0, mu], M)
     elif g == 9:
-        poly = _upoly_mul(_octic_factor(mu, "adjudicated"), M)
+        poly = _product(_octic_factor(mu, "adjudicated"), M)
     elif g == 10:
-        base = _upoly_mul([1, 0, 0, 0, 3], [-1, 0, 6, 0, 3])
-        poly = _upoly_mul([0, 1], _upoly_mul(base, _dodecic_factor(mu, variant)))
+        poly = _product([0, 1], _product([1, 0, 0, 0, 3], [-1, 0, 6, 0, 3],
+                                         _dodecic_factor(mu, variant)))
     else:  # g == 12
-        poly = _upoly_mul(_upoly_mul([0, -1, 0, 0, 0, mu], _octic_factor(mu, variant)), M)
+        poly = _product([0, -1, 0, 0, 0, mu], _octic_factor(mu, variant), M)
     return BinaryForm.from_univariate(poly, 2 * g + 2)

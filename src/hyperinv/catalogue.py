@@ -1,24 +1,29 @@
 """The covariant/invariant catalogue for even-degree binary forms, absolute
 invariants, and the genus classifier.
 
-For F of degree d = 2g+2 the catalogue composes transvections:
+For F of degree d = 2g+2 the catalogue is one transvectant DAG, held as data
+in ``RECIPE`` (name -> (left, right, r(d), guard(d))):
 
-    J_{4j} = (F,F)^(d-2j)            order 4j, degree 2
+    J_{4j} = (F,F)^(d-2j)             j = 1..4, order 4j   [J16: d >= 8]
+    J_d    = (F,F)^(d/2)              order d
+    FJ_k   = (F,J_k)^k                k = 4, 8, 12, 16     [d >= k]
+    M      = (FJ4,FJ8)^(d-10)         order 8              [d >= 10]
+    S      = (J12,J16)^12                                  [d = 22]
+    J16S   = (J16,S)^4                                     [d = 22]
+
     I_2    = (F,F)^d
-    I_4    = (J_4,J_4)^4             I_4' = (J_8,J_8)^8
-    I_6    = ((F,J_4)^4,(F,J_4)^4)^(d-4)
-    I_6'   = ((F,J_8)^8,(F,J_8)^8)^(d-8)          [d >= 8]
-    I_6*   = ((F,J_12)^12,(F,J_12)^12)^(d-12)     [d >= 12]
-    I_3    = (F,J_d)^d with J_d = (F,F)^(d/2)     [4 | d]
-    M      = ((F,J_4)^4,(F,J_8)^8)^(d-10)         [d >= 10]
-    I_12   = (M,M)^8
-    and, for d = 22 only:
-    I_6^star = ((F,J_16)^16,(F,J_16)^16)^(d-16)
-    S        = (J_12,J_16)^12
-    I_12^ast = ((J_16,S)^4,(J_16,S)^4)^12
+    I_3    = (F,J_d)^d                                     [4 | d]
+    I_4    = (J4,J4)^4                I_4'  = (J8,J8)^8
+    I_6    = (FJ4,FJ4)^(d-4)          I_6'  = (FJ8,FJ8)^(d-8)
+    I_6*   = (FJ12,FJ12)^(d-12)       I_12  = (M,M)^8
+    I_6^star = (FJ16,FJ16)^(d-16)                          [d = 22]
+    I_12^ast = (J16S,J16S)^12
 
-Entries whose construction is impossible at the given degree are flagged
-undefined (None), never zero.
+A node whose guard fails at d, or one of whose ingredients is undefined, is
+undefined (None), never zero.  The guard is checked first, so a node gives
+up before it builds either ingredient.  Each call evaluates the DAG afresh: a node is
+transvected the first time the call asks for it and kept for that call only,
+so ``classify_point`` and ``vanishing_profile`` build just what they read.
 
 Two absolute-invariant orientations deviate from their published display and
 are pinned instead by the published special values they must reproduce (see
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import GenusError, UndefinedInvariantError, UnsupportedDegreeError
 from .forms import BinaryForm, Covariant, transvect
@@ -41,6 +47,33 @@ SUPPORTED_GENERA = (4, 5, 7, 8, 9, 10, 12)
 INVARIANT_KEYS = ("I2", "I3", "I4", "I4p", "I6", "I6p", "I6star_ast", "I12",
                   "I6star", "I12ast")
 
+#: name -> (left, right, r(d), guard(d)); "F" is the ground form and a
+#: guard of None always holds
+RECIPE = {
+    "J4": ("F", "F", lambda d: d - 2, None),
+    "J8": ("F", "F", lambda d: d - 4, None),
+    "J12": ("F", "F", lambda d: d - 6, None),
+    "J16": ("F", "F", lambda d: d - 8, lambda d: d >= 8),
+    "Jd": ("F", "F", lambda d: d // 2, None),
+    "FJ4": ("F", "J4", lambda d: 4, None),
+    "FJ8": ("F", "J8", lambda d: 8, lambda d: d >= 8),
+    "FJ12": ("F", "J12", lambda d: 12, lambda d: d >= 12),
+    "FJ16": ("F", "J16", lambda d: 16, lambda d: d >= 16),
+    "M": ("FJ4", "FJ8", lambda d: d - 10, lambda d: d >= 10),
+    "S": ("J12", "J16", lambda d: 12, lambda d: d == 22),
+    "J16S": ("J16", "S", lambda d: 4, lambda d: d == 22),
+    "I2": ("F", "F", lambda d: d, None),
+    "I3": ("F", "Jd", lambda d: d, lambda d: d % 4 == 0),
+    "I4": ("J4", "J4", lambda d: 4, None),
+    "I4p": ("J8", "J8", lambda d: 8, None),
+    "I6": ("FJ4", "FJ4", lambda d: d - 4, None),
+    "I6p": ("FJ8", "FJ8", lambda d: d - 8, None),
+    "I6star_ast": ("FJ12", "FJ12", lambda d: d - 12, None),
+    "I12": ("M", "M", lambda d: 8, None),
+    "I6star": ("FJ16", "FJ16", lambda d: d - 16, lambda d: d == 22),
+    "I12ast": ("J16S", "J16S", lambda d: 12, None),
+}
+
 
 def _is_zero(v) -> bool:
     if v is None:
@@ -48,6 +81,37 @@ def _is_zero(v) -> bool:
     if isinstance(v, Poly):
         return v.is_zero
     return v == 0
+
+
+def _check_degree(F: BinaryForm) -> int:
+    d = F.degree
+    if d < 6 or d % 2:
+        raise UnsupportedDegreeError(
+            f"catalogue needs an even degree >= 6, got degree {d}")
+    return d
+
+
+class _Evaluator:
+    """``RECIPE`` at one form: each node is transvected when first asked for."""
+
+    def __init__(self, F: BinaryForm):
+        self.degree = _check_degree(F)
+        self._nodes = {"F": Covariant.source(F)}
+
+    def covariant(self, name: str) -> Covariant | None:
+        nodes = self._nodes
+        if name not in nodes:
+            left, right, r, guard = RECIPE[name]
+            f = g = None
+            if guard is None or guard(self.degree):
+                f = self.covariant(left)
+                g = None if f is None else self.covariant(right)
+            nodes[name] = None if g is None else transvect(f, g, r(self.degree))
+        return nodes[name]
+
+    def invariant(self, name: str):
+        cov = self.covariant(name)
+        return None if cov is None else cov.constant_value()
 
 
 @dataclass(frozen=True)
@@ -81,63 +145,32 @@ class InvariantSet:
 
 def catalogue_intermediates(F: BinaryForm) -> dict[str, Covariant]:
     """The intermediate covariants J_{4j} (j=1..4), M, and S where defined."""
-    d = _check_degree(F)
-    src = Covariant.source(F)
-    out: dict[str, Covariant] = {}
-    for j in (1, 2, 3, 4):
-        if d - 2 * j >= 0:
-            out[f"J{4 * j}"] = transvect(src, src, d - 2 * j)
-    if d >= 10:
-        fj4 = transvect(src, out["J4"], 4)
-        fj8 = transvect(src, out["J8"], 8)
-        out["M"] = transvect(fj4, fj8, d - 10)
-    if d == 22:
-        out["S"] = transvect(out["J12"], out["J16"], 12)
-    return out
-
-
-def _check_degree(F: BinaryForm) -> int:
-    d = F.degree
-    if d < 6 or d % 2:
-        raise UnsupportedDegreeError(
-            f"catalogue needs an even degree >= 6, got degree {d}")
-    return d
+    ev = _Evaluator(F)
+    return {k: cov for k in ("J4", "J8", "J12", "J16", "M", "S")
+            if (cov := ev.covariant(k)) is not None}
 
 
 def covariant_catalogue(F: BinaryForm) -> InvariantSet:
     """All catalogue invariants of F that exist at its degree, exactly."""
-    d = _check_degree(F)
-    src = Covariant.source(F)
-    J4 = transvect(src, src, d - 2)
-    J8 = transvect(src, src, d - 4)
-    vals: dict[str, object] = {}
-    vals["I2"] = transvect(src, src, d).constant_value()
-    vals["I4"] = transvect(J4, J4, 4).constant_value()
-    vals["I4p"] = transvect(J8, J8, 8).constant_value()
-    fj4 = transvect(src, J4, 4)
-    vals["I6"] = transvect(fj4, fj4, d - 4).constant_value()
-    if d >= 8:
-        fj8 = transvect(src, J8, 8)
-        vals["I6p"] = transvect(fj8, fj8, d - 8).constant_value()
-    if d % 4 == 0:
-        Jd = transvect(src, src, d // 2)  # order d
-        vals["I3"] = transvect(src, Jd, d).constant_value()
-    if d >= 12:
-        J12 = transvect(src, src, d - 6)
-        fj12 = transvect(src, J12, 12)
-        vals["I6star_ast"] = transvect(fj12, fj12, d - 12).constant_value()
-    if d >= 10:
-        M = transvect(fj4, fj8, d - 10)
-        vals["I12"] = transvect(M, M, 8).constant_value()
-    if d == 22:
-        J12 = transvect(src, src, d - 6)
-        J16 = transvect(src, src, d - 8)
-        fj16 = transvect(src, J16, 16)
-        vals["I6star"] = transvect(fj16, fj16, d - 16).constant_value()
-        S = transvect(J12, J16, 12)
-        js = transvect(J16, S, 4)
-        vals["I12ast"] = transvect(js, js, 12).constant_value()
-    return InvariantSet(degree=d, **vals)
+    ev = _Evaluator(F)
+    return InvariantSet(degree=ev.degree, **{k: ev.invariant(k) for k in INVARIANT_KEYS})
+
+
+#: name -> (numerator, its power, denominator, its power)
+ABSOLUTE_RECIPE = {
+    "i1": ("I4p", 1, "I2", 2),
+    "i2": ("I3", 2, "I2", 3),
+    "i3": ("I6star_ast", 1, "I2", 3),
+    "j1": ("I6p", 1, "I3", 2),
+    "j2": ("I6", 1, "I3", 2),
+    "s1": ("I6", 2, "I12", 1),
+    "s2": ("I6p", 2, "I12", 1),
+    "v1": ("I6", 1, "I6star_ast", 1),
+    "v2": ("I3", 4, "I4p", 3),
+    "v3": ("I6", 1, "I6p", 1),
+    "v4": ("I6star_ast", 2, "I4p", 3),
+    "v5": ("I6star", 1, "I12ast", 1),
+}
 
 
 @dataclass(frozen=True)
@@ -163,8 +196,7 @@ class AbsoluteInvariants:
     v5: object = None
     reasons: dict = field(default_factory=dict)
 
-    ABSOLUTE_KEYS = ("i1", "i2", "i3", "j1", "j2", "s1", "s2",
-                     "v1", "v2", "v3", "v4", "v5")
+    ABSOLUTE_KEYS = tuple(ABSOLUTE_RECIPE)
 
     def defined(self, name: str) -> bool:
         return getattr(self, name) is not None
@@ -189,39 +221,33 @@ def _ratio(num, den):
     return num / den
 
 
+def _absolute(name: str, invariant, degree: int):
+    """(value, None) for one ``ABSOLUTE_RECIPE`` entry, or (None, reason);
+    ``invariant`` maps an invariant's name to its value or None."""
+    num_name, num_power, den_name, den_power = ABSOLUTE_RECIPE[name]
+    num = invariant(num_name)
+    if num is None:
+        return None, f"requires {num_name}, undefined for degree {degree}"
+    den = invariant(den_name)
+    if den is None:
+        return None, f"requires {den_name}, undefined for degree {degree}"
+    den = den ** den_power
+    if _is_zero(den):
+        return None, f"zero denominator {den_name}"
+    return _ratio(num ** num_power, den), None
+
+
 def absolute_invariants(source) -> AbsoluteInvariants:
     """Absolute invariants of a form (or of a precomputed InvariantSet)."""
     inv = source if isinstance(source, InvariantSet) else covariant_catalogue(source)
     vals: dict[str, object] = {}
     reasons: dict[str, str] = {}
-
-    def put(name, num_name, den_name, num_fn, den_fn):
-        num = getattr(inv, num_name)
-        den = getattr(inv, den_name)
-        if num is None:
-            reasons[name] = f"requires {num_name}, undefined for degree {inv.degree}"
-            return
-        if den is None:
-            reasons[name] = f"requires {den_name}, undefined for degree {inv.degree}"
-            return
-        den_v = den_fn(den)
-        if _is_zero(den_v):
-            reasons[name] = f"zero denominator {den_name}"
-            return
-        vals[name] = _ratio(num_fn(num), den_v)
-
-    put("i1", "I4p", "I2", lambda x: x, lambda x: x * x)
-    put("i2", "I3", "I2", lambda x: x * x, lambda x: x * x * x)
-    put("i3", "I6star_ast", "I2", lambda x: x, lambda x: x * x * x)
-    put("j1", "I6p", "I3", lambda x: x, lambda x: x * x)
-    put("j2", "I6", "I3", lambda x: x, lambda x: x * x)
-    put("s1", "I6", "I12", lambda x: x * x, lambda x: x)
-    put("s2", "I6p", "I12", lambda x: x * x, lambda x: x)
-    put("v1", "I6", "I6star_ast", lambda x: x, lambda x: x)
-    put("v2", "I3", "I4p", lambda x: x * x * x * x, lambda x: x * x * x)
-    put("v3", "I6", "I6p", lambda x: x, lambda x: x)
-    put("v4", "I6star_ast", "I4p", lambda x: x * x, lambda x: x * x * x)
-    put("v5", "I6star", "I12ast", lambda x: x, lambda x: x)
+    for name in ABSOLUTE_RECIPE:
+        value, reason = _absolute(name, partial(getattr, inv), inv.degree)
+        if value is None:
+            reasons[name] = reason
+        else:
+            vals[name] = value
     return AbsoluteInvariants(degree=inv.degree, reasons=reasons, **vals)
 
 
@@ -242,6 +268,20 @@ def genus_degree(g: int) -> int:
     return 2 * g + 2
 
 
+#: genus -> (test invariant, branch when it is nonzero, branch when it is
+#: zero); a branch is (case tag, the absolute invariants it reads).  Genus 4
+#: has no test and one branch.
+CLASSIFIER_BRANCHES = {
+    4: (None, ("g=4", ("v1",)), None),
+    5: ("I2", ("g=5, I_2 != 0", ("i1", "i2")), ("g=5, I_2 = 0", ("v2",))),
+    7: ("I3", ("g=7, I_3 != 0", ("j1", "j2")), ("g=7, I_3 = 0", ("v3",))),
+    8: ("I2", ("g=8, I_2 != 0", ("i1", "i3")), ("g=8, I_2 = 0", ("v4",))),
+    9: ("I2", ("g=9, I_2 != 0", ("i1", "i2")), ("g=9, I_2 = 0", ("v2",))),
+    10: ("I12", ("g=10, I_12 != 0", ("s2", "s1")), ("g=10, I_12 = 0", ("v5",))),
+    12: ("I2", ("g=12, I_2 != 0", ("i1", "i3")), ("g=12, I_2 = 0", ("v4",))),
+}
+
+
 def classify_point(F: BinaryForm, genus: int) -> ModuliPoint:
     """Dispatch the piecewise moduli invariant for the supported genera.
 
@@ -255,40 +295,17 @@ def classify_point(F: BinaryForm, genus: int) -> ModuliPoint:
     if F.degree != d:
         raise UnsupportedDegreeError(
             f"genus {genus} needs a degree-{d} form, got degree {F.degree}")
-    inv = covariant_catalogue(F)
-    absinv = absolute_invariants(inv)
-
-    def point(tag, *names):
-        return ModuliPoint(genus=genus, case_tag=tag,
-                           values=tuple(_require(absinv, n, tag) for n in names))
-
-    if genus == 4:
-        return point("g=4", "v1")
-    if genus in (5, 9):
-        if not _is_zero(inv.I2):
-            return point(f"g={genus}, I_2 != 0", "i1", "i2")
-        return point(f"g={genus}, I_2 = 0", "v2")
-    if genus == 7:
-        if not _is_zero(inv.I3):
-            return point("g=7, I_3 != 0", "j1", "j2")
-        return point("g=7, I_3 = 0", "v3")
-    if genus in (8, 12):
-        if not _is_zero(inv.I2):
-            return point(f"g={genus}, I_2 != 0", "i1", "i3")
-        return point(f"g={genus}, I_2 = 0", "v4")
-    # genus 10
-    if not _is_zero(inv.I12):
-        return point("g=10, I_12 != 0", "s2", "s1")
-    return point("g=10, I_12 = 0", "v5")
-
-
-def _require(absinv: AbsoluteInvariants, name: str, branch: str):
-    v = getattr(absinv, name)
-    if v is None:
-        raise UndefinedInvariantError(
-            f"branch '{branch}' needs {name}, undefined: "
-            f"{absinv.reasons.get(name, 'missing ingredient')}")
-    return v
+    ev = _Evaluator(F)
+    test, nonzero, zero = CLASSIFIER_BRANCHES[genus]
+    tag, names = nonzero if test is None or not _is_zero(ev.invariant(test)) else zero
+    values = []
+    for name in names:
+        value, reason = _absolute(name, ev.invariant, d)
+        if value is None:
+            raise UndefinedInvariantError(
+                f"branch '{tag}' needs {name}, undefined: {reason}")
+        values.append(value)
+    return ModuliPoint(genus=genus, case_tag=tag, values=tuple(values))
 
 
 #: invariants that must vanish for a curve on each locus (necessary, not sufficient)
@@ -307,5 +324,7 @@ def vanishing_profile(F: BinaryForm, genus: int):
     """Exact zero-tests of the locus's necessary-vanishing invariants."""
     if genus not in SUPPORTED_GENERA:
         raise GenusError(f"vanishing profile supports genera {SUPPORTED_GENERA}, got {genus}")
-    inv = covariant_catalogue(F)
-    return [(name, _is_zero(inv.value(name))) for name in VANISHING_BY_GENUS[genus]]
+    ev = _Evaluator(F)
+    names = VANISHING_BY_GENUS[genus]
+    inv = InvariantSet(degree=ev.degree, **{name: ev.invariant(name) for name in names})
+    return [(name, _is_zero(inv.value(name))) for name in names]

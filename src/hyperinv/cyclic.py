@@ -27,7 +27,7 @@ from math import isqrt
 from .errors import ConstraintError, ReconstructionError
 from .forms import BinaryForm
 from .polynomials import Poly
-from .scalars import Cyclo
+from .scalars import Cyclo, canonical_order
 
 
 @dataclass(frozen=True)
@@ -209,14 +209,6 @@ def _square_roots_in_field(q: Fraction):
     return None
 
 
-def _canonical_order(values):
-    """Deterministic ordering by the exact text encoding (shortest first)."""
-    def key(q):
-        enc = str(q)
-        return (len(enc), enc)
-    return sorted(values, key=key)
-
-
 def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
     """One normal form in the H-orbit determined by nonzero dihedral invariants.
 
@@ -248,7 +240,7 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
         raise ReconstructionError(
             "a_delta^t generates a quadratic extension of Q here",
             minimal_polynomial=(ud ** t, -(2 ** t) * u1, 2 ** t))
-    z_roots = _canonical_order({(u1 + sq) / 2, (u1 - sq) / 2})
+    z_roots = canonical_order(((u1 + sq) / 2, (u1 - sq) / 2))
 
     failures = []
     for z in z_roots:

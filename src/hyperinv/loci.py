@@ -14,15 +14,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from importlib import resources
+from operator import add
 
 from .a4 import rational_model
-from .catalogue import (ModuliPoint, absolute_invariants, classify_point,
-                        vanishing_profile)
+from .catalogue import (CLASSIFIER_BRANCHES, ModuliPoint, absolute_invariants,
+                        classify_point, vanishing_profile)
 from .errors import (DomainError, GenusError, OffLocusError, PoleError,
                      RecoveryError)
-from .polynomials import Poly, RatFunc, poly_divides, poly_gcd
-from .scalars import rational_from_str
+from .polynomials import Poly, RatFunc, _clear_to_int, poly_divides, poly_gcd
+from .scalars import canonical_order, rational_from_str
 
 LOCUS_GENERA = (4, 5, 7, 8, 9, 10, 12)
 
@@ -172,15 +174,8 @@ def locus_parametrization(genus: int, mu, table: LocusTable | None = None):
         raise PoleError(
             f"mu = {mu} is a pole of the genus-{genus} parametrization not covered "
             f"by a recorded special value", at=mu) from exc
-    return ModuliPoint(genus=genus, case_tag=_generic_tag(genus), values=(v1, v2))
-
-
-def _generic_tag(genus: int) -> str:
-    if genus in (5, 9, 8, 12):
-        return f"g={genus}, I_2 != 0"
-    if genus == 7:
-        return "g=7, I_3 != 0"
-    return "g=10, I_12 != 0"
+    _, (tag, _), _ = CLASSIFIER_BRANCHES[genus]
+    return ModuliPoint(genus=genus, case_tag=tag, values=(v1, v2))
 
 
 def recover_mu(genus: int, point, table: LocusTable | None = None):
@@ -203,7 +198,7 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
             raise OffLocusError(
                 f"one-component point {values[0]} matches no recorded special value "
                 f"for genus {genus}")
-        return _canonical(hits)
+        return canonical_order(hits)
     p1, p2 = Fraction(values[0]), Fraction(values[1])
     n1 = entry.p1.num - p1 * entry.p1.den
     n2 = entry.p2.num - p2 * entry.p2.den
@@ -233,15 +228,7 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
         raise OffLocusError(
             f"point ({p1}, {p2}) is not on the genus-{genus} locus "
             f"(no candidate parameter back-substitutes)")
-    return _canonical(good)
-
-
-def _canonical(values):
-    def key(q):
-        enc = str(q)
-        return (len(enc), enc)
-    out = sorted(set(values), key=key)
-    return out
+    return canonical_order(good)
 
 
 def _rational_roots(p: Poly):
@@ -273,8 +260,8 @@ def _rational_roots(p: Poly):
             roots.add((-b - s) / (2 * a))
             return sorted(roots)
         # higher degree: divisor search on the primitive integer form
-        ints = _to_int(p)
-        if ints is None or abs(ints[0]) > 10**12 or abs(ints[-1]) > 10**12:
+        ints = _clear_to_int(p)
+        if abs(ints[0]) > 10**12 or abs(ints[-1]) > 10**12:
             return None
         found = None
         for num in _divisors(abs(ints[0])):
@@ -292,18 +279,6 @@ def _rational_roots(p: Poly):
         roots.add(found)
         p = p // Poly((-found, Fraction(1)))
     return sorted(roots)
-
-
-def _to_int(p: Poly):
-    from math import gcd, lcm
-    den = 1
-    for c in p.coeffs:
-        den = lcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return [c // g for c in ints] if g else None
 
 
 def _divisors(n: int):
@@ -330,6 +305,14 @@ _L5_TERMS = (
     (Fraction(1620), 1, 0),
     (Fraction(-4), 0, 0),
 )
+#: its formal partials in p1 and in p2, as terms of the same shape
+_L5_D1 = tuple((coef * ex, ex - 1, ey) for coef, ex, ey in _L5_TERMS if ex)
+_L5_D2 = tuple((coef * ey, ex, ey - 1) for coef, ex, ey in _L5_TERMS if ey)
+
+
+def _l5_sum(terms, x, y):
+    """The sum of coef * x^ex * y^ey over the terms."""
+    return reduce(add, (coef * x ** ex * y ** ey for coef, ex, ey in terms))
 
 
 def genus5_locus_residual(point):
@@ -340,38 +323,15 @@ def genus5_locus_residual(point):
     values = tuple(point.values) if isinstance(point, ModuliPoint) else tuple(point)
     if len(values) != 2:
         raise DomainError("the genus-5 locus equation needs a two-component point")
-    x, y = values
-    acc = None
-    for coef, ex, ey in _L5_TERMS:
-        term = coef * _pow(x, ex) * _pow(y, ey)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _pow(v, k):
-    if k == 0:
-        return Fraction(1)
-    out = v
-    for _ in range(k - 1):
-        out = out * v
-    return out
-
-
-def _l5_partials(x, y):
-    d1 = (Fraction(14762250) * _pow(x, 2) + Fraction(-328050) * x
-          + Fraction(-136080) * y + Fraction(1620))
-    d2 = Fraction(-56448) * y + Fraction(-136080) * x + Fraction(672)
-    return d1, d2
+    return _l5_sum(_L5_TERMS, *values)
 
 
 def genus5_locus_is_singular(point) -> bool:
     """Residual and both formal partials vanish at the point."""
     values = tuple(point.values) if isinstance(point, ModuliPoint) else tuple(point)
-    x, y = values
     if genus5_locus_residual(values) != 0:
         return False
-    d1, d2 = _l5_partials(x, y)
-    return d1 == 0 and d2 == 0
+    return _l5_sum(_L5_D1, *values) == 0 and _l5_sum(_L5_D2, *values) == 0
 
 
 def genus5_singular_point_analysis(table: LocusTable | None = None) -> dict:
@@ -385,9 +345,7 @@ def genus5_singular_point_analysis(table: LocusTable | None = None) -> dict:
     table = table or default_table()
     entry = table.entry(5)
     p1, p2 = entry.p1, entry.p2
-    d1 = (Fraction(14762250) * p1 * p1 + Fraction(-328050) * p1
-          + Fraction(-136080) * p2 + Fraction(1620))
-    d2 = Fraction(-56448) * p2 + Fraction(-136080) * p1 + Fraction(672)
+    d1, d2 = _l5_sum(_L5_D1, p1, p2), _l5_sum(_L5_D2, p1, p2)
     g = poly_gcd(d1.num, d2.num)
     radical = g // poly_gcd(g, g.derivative()) if g.degree > 0 else g
     target2 = p2 - Fraction(1, 84)

@@ -136,8 +136,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def _coerce(self, other):
@@ -166,8 +167,7 @@ class Poly:
         lead = self.leading
         if lead == 1:
             return self
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
-        return self * inv
+        return self * _inverse(lead)
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -176,8 +176,7 @@ class Poly:
                 return NotImplemented
         if other.is_zero:
             raise ExactDivisionError("polynomial division by zero")
-        lead = other.leading
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
+        inv = _inverse(other.leading)
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
@@ -203,18 +202,17 @@ class Poly:
         return divmod(self, other)[1]
 
 
+def _inverse(c):
+    """1/c in the coefficient field (Fraction for int or Fraction c)."""
+    return 1 / Fraction(c) if isinstance(c, (int, Fraction)) else c.inverse()
+
+
 def _clear_to_int(p: Poly):
     """Primitive integer coefficient list of a Fraction-coefficient poly."""
     den = 1
     for c in p.coeffs:
         den = _int_lcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = _int_gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
-    return ints
+    return _int_primitive([int(Fraction(c) * den) for c in p.coeffs])
 
 
 def _int_primitive(ints):
@@ -256,7 +254,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         r = [c * lead ** (shift + 1) for c in r]
         while len(r) >= len(b) and r:
             factor, rem0 = divmod(r[-1], b[-1])
-            assert rem0 == 0
+            if rem0:
+                raise ExactDivisionError(
+                    "pseudo-remainder step is not an exact integer division")
             k = len(r) - len(b)
             for i, c in enumerate(b):
                 r[k + i] -= factor * c
@@ -324,6 +324,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # with denominator 1 it equals its numerator Poly, so it hashes like it
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

@@ -30,6 +30,11 @@ def rational_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def canonical_order(values) -> list:
+    """The distinct values, shortest exact text encoding first."""
+    return sorted(set(values), key=lambda q: (len(str(q)), str(q)))
+
+
 class Cyclo:
     """Element c0 + c1*i + c2*sqrt3 + c3*i*sqrt3 with rational coordinates."""
 
@@ -202,8 +207,9 @@ class Cyclo:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hyperinv import (BinaryForm, GenusError, ModuliPoint, Poly,
                       UndefinedInvariantError, UnsupportedDegreeError,
                       absolute_invariants, catalogue_intermediates,
                       classify_point, covariant_catalogue, gl2_act,
-                      rational_model, transvect, vanishing_profile)
+                      locus_parametrization, rational_model, transvect,
+                      vanishing_profile)
+from hyperinv import catalogue
 
 from conftest import nonzero_fraction, random_fraction
 from oracles import form_to_dict, naive_transvect
@@ -27,6 +30,86 @@ def test_I2_of_power_sum(d):
     fd = form_to_dict(F)
     exp = naive_transvect(fd, fd, d, d, d)
     assert inv.I2 == exp.get((0, 0), 0) == 2
+
+
+def oracle_catalogue(F):
+    """Every catalogue invariant of F, composed from naive_transvect on
+    monomial dicts as the catalogue module's docstring writes the DAG."""
+    d = F.degree
+    f = (form_to_dict(F), d)
+
+    def tv(a, b, r):
+        (fa, n), (fb, m) = a, b
+        return naive_transvect(fa, fb, n, m, r), n + m - 2 * r
+
+    def const(c):
+        assert c[1] == 0
+        return c[0].get((0, 0), 0)
+
+    J = {k: tv(f, f, d - k // 2) for k in (4, 8, 12, 16)}
+    FJ = {k: tv(f, J[k], k) for k in (4, 8, 12, 16) if d >= k}
+    M = tv(FJ[4], FJ[8], d - 10)
+    out = {"I2": const(tv(f, f, d)),
+           "I4": const(tv(J[4], J[4], 4)),
+           "I4p": const(tv(J[8], J[8], 8)),
+           "I6": const(tv(FJ[4], FJ[4], d - 4)),
+           "I6p": const(tv(FJ[8], FJ[8], d - 8)),
+           "I6star_ast": const(tv(FJ[12], FJ[12], d - 12)),
+           "I12": const(tv(M, M, 8))}
+    if d % 4 == 0:
+        out["I3"] = const(tv(f, tv(f, f, d // 2), d))
+    if d == 22:
+        out["I6star"] = const(tv(FJ[16], FJ[16], d - 16))
+        js = tv(J[16], tv(J[12], J[16], 12), 4)
+        out["I12ast"] = const(tv(js, js, 12))
+    return out
+
+
+@pytest.mark.parametrize("d", [12, 22])
+def test_catalogue_matches_oracle_composition(d):
+    rng = random.Random(d)
+    F = BinaryForm(d, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(d + 1)])
+    got = covariant_catalogue(F).as_dict()
+    assert {k: v for k, v in got.items() if v is not None} == oracle_catalogue(F)
+
+
+@pytest.fixture
+def transvections(monkeypatch):
+    """(order, order, r) of every transvection the catalogue module runs."""
+    calls = []
+
+    def counting(f, g, r):
+        calls.append((f.order_m, g.order_m, r))
+        return transvect(f, g, r)
+
+    monkeypatch.setattr(catalogue, "transvect", counting)
+    return calls
+
+
+def test_classify_transvects_only_its_branch(transvections):
+    mu = Fraction(7, 2)
+    point = classify_point(rational_model(12, mu), 12)
+    assert point == locus_parametrization(12, mu)
+    # I2; J8 and I4'; J12, (F,J12)^12 and I6* -- nothing else at degree 26
+    assert transvections == [(26, 26, 26), (26, 26, 22), (8, 8, 8),
+                             (26, 26, 20), (26, 12, 12), (14, 14, 14)]
+    transvections.clear()
+    vanishing_profile(rational_model(12, mu), 12)     # I4 and I6 only
+    assert transvections == [(26, 26, 24), (4, 4, 4), (26, 4, 4), (22, 22, 22)]
+
+
+def test_catalogue_transvects_each_node_once(transvections):
+    covariant_catalogue(rational_model(10, Fraction(2)))
+    assert transvections.count((22, 22, 16)) == 1     # J12
+    # 20 nodes at degree 22: J4..J16, (F,J_k)^k, M, S, (J16,S)^4 and nine
+    # invariants (I3 needs 4 | d)
+    assert len(transvections) == 20
+    transvections.clear()
+    # 14 at degree 18: J4, J8, J12, (F,J_k)^k for k = 4, 8, 12, M and seven
+    # invariants; J16, whose only use is at degree 22, is not built
+    covariant_catalogue(rational_model(8, Fraction(2)))
+    assert len(transvections) == 14
 
 
 def test_catalogue_rejects_bad_degrees():

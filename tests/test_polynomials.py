@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hyperinv import (Cyclo, ExactDivisionError, PoleError, Poly, RatFunc,
                       poly_gcd, ratfunc_eval)
+from hyperinv import polynomials
 
 from conftest import rationals
 
@@ -40,6 +41,23 @@ def test_gcd_examples():
     assert poly_gcd(p, Poly()) == MU + 2  # made monic
     with pytest.raises(ExactDivisionError):
         poly_gcd(Poly(), Poly())
+
+
+def test_gcd_inexact_pseudo_remainder_raises_typed_error(monkeypatch):
+    """The exactness check is a raise, not an assert, so ``-O`` keeps it."""
+    # an integer-clearing step that leaves fractions breaks the exact division
+    monkeypatch.setattr(polynomials, "_clear_to_int",
+                        lambda p: [Fraction(c) / 3 for c in p.coeffs])
+    with pytest.raises(ExactDivisionError):
+        poly_gcd(MU ** 2 + 1, 2 * MU + 1)
+
+
+def test_int_leading_coefficients():
+    p = Poly((1, 2))                                    # 2x + 1
+    assert p.monic() == Poly((Fraction(1, 2), 1))
+    q, r = divmod(Poly((1, 0, 1)), p)                   # x^2 + 1
+    assert q == Poly((Fraction(-1, 4), Fraction(1, 2)))
+    assert r == Fraction(5, 4)
 
 
 @settings(max_examples=80)
@@ -88,6 +106,13 @@ def test_ratfunc_canonical_form_basics():
 @given(nonzero_polys(3), nonzero_polys(3), nonzero_polys(3))
 def test_ratfunc_canonical_form(p, q, g):
     assert RatFunc(p * g, q * g) == RatFunc(p, q)
+
+
+def test_ratfunc_hashes_like_what_it_equals():
+    assert RatFunc(3) == 3 and hash(RatFunc(3)) == hash(3)
+    assert hash(RatFunc(0)) == hash(0)
+    assert RatFunc(MU + 1) == MU + 1 and hash(RatFunc(MU + 1)) == hash(MU + 1)
+    assert len({RatFunc(3), Fraction(3), Poly((3,))}) == 1
 
 
 def test_ratfunc_eval():
