@@ -76,11 +76,7 @@ RECIPE = {
 
 
 def _is_zero(v) -> bool:
-    if v is None:
-        return True
-    if isinstance(v, Poly):
-        return v.is_zero
-    return v == 0
+    return v is None or v == 0
 
 
 def _check_degree(F: BinaryForm) -> int:

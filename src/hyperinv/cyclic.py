@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import ConstraintError, ReconstructionError
 from .forms import BinaryForm
-from .polynomials import Poly
-from .scalars import Cyclo, canonical_order
+from .scalars import Cyclo, canonical_order, rational_root
 
 
 @dataclass(frozen=True)
@@ -152,58 +150,20 @@ def extra_involution_condition(u: DihedralInvariants, g: int) -> bool:
     if len(u) != g:
         raise ConstraintError(
             f"extra-involution test needs the case-1, n=2 tuple of length g={g}, got {len(u)}")
-    lhs = 2 ** (g - 1) * u[0] ** 2 - u[g - 1] ** (g + 1)
-    if isinstance(lhs, Poly):
-        return lhs.is_zero
-    return lhs == 0
+    return 2 ** (g - 1) * u[0] ** 2 - u[g - 1] ** (g + 1) == 0
 
 
 # -- reconstruction ---------------------------------------------------------
 
-def _rational_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _rational_root(q: Fraction, k: int):
-    """Exact k-th root in Q, or None."""
-    if q == 0:
-        return Fraction(0)
-    neg = q < 0
-    if neg and k % 2 == 0:
-        return None
-    n, d = abs(q.numerator), q.denominator
-
-    def iroot(m):
-        if m == 0:
-            return 0
-        r = round(m ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** k == m:
-                return cand
-        return None
-
-    rn, rd = iroot(n), iroot(d)
-    if rn is None or rd is None:
-        return None
-    root = Fraction(rn, rd)
-    return -root if neg else root
-
-
 def _square_roots_in_field(q: Fraction):
     """Square roots of a rational inside Q(i, sqrt3), if any (as Cyclo)."""
-    r = _rational_sqrt(q) if q >= 0 else None
+    r = rational_root(q, 2)
     if r is not None:
         return Cyclo(r)
     for unit_sq, builder in ((Fraction(3), lambda m: Cyclo(0, 0, m, 0)),
                              (Fraction(-1), lambda m: Cyclo(0, m, 0, 0)),
                              (Fraction(-3), lambda m: Cyclo(0, 0, 0, m))):
-        m = _rational_sqrt(q / unit_sq)
+        m = rational_root(q / unit_sq, 2)
         if m is not None:
             return builder(m)
     return None
@@ -235,7 +195,7 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
     # roots of z^2 - u1 z + (ud/2)^t
     half_pow = (ud / 2) ** t
     disc = u1 * u1 - 4 * half_pow
-    sq = _rational_sqrt(disc)
+    sq = rational_root(disc, 2)
     if sq is None:
         raise ReconstructionError(
             "a_delta^t generates a quadratic extension of Q here",
@@ -253,7 +213,7 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
 
 def _tth_root(z: Fraction, t: int):
     """A t-th root of z in Q, else in Q(i, sqrt3) for t = 2, else None."""
-    r = _rational_root(z, t)
+    r = rational_root(z, t)
     if r is not None:
         return r
     if t == 2:

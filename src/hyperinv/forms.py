@@ -2,7 +2,9 @@
 
 A form of degree d is stored as the coefficient list a_0..a_d of
 sum_i a_i X^i Z^(d-i).  The transvection acts on these polynomials through
-exact partial derivatives:
+exact partial derivatives, each mixed partial taken in one pass
+(d^(kx+kz) / dX^kx dZ^kz sends a_i to (i)_kx (d-i)_kz a_i on X^(i-kx) Z^(d-i-kz),
+with (x)_k the falling factorial):
 
     (f, g)^r = (m-r)! (n-r)! / (n! m!) *
                sum_k (-1)^k C(r,k) d^r f/dX^(r-k)dZ^k * d^r g/dX^k dZ^(r-k)
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .errors import SingularMatrixError, TransvectionError
 from .polynomials import Poly
@@ -115,35 +117,11 @@ class BinaryForm:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def dx(self) -> "BinaryForm":
-        """Partial derivative with respect to X (degree drops by one)."""
-        if self.degree == 0:
-            raise ValueError("cannot differentiate a degree-0 form and stay homogeneous")
-        return BinaryForm(self.degree - 1, tuple(i * self.coeffs[i] for i in range(1, self.degree + 1)))
-
-    def dz(self) -> "BinaryForm":
-        """Partial derivative with respect to Z."""
-        if self.degree == 0:
-            raise ValueError("cannot differentiate a degree-0 form and stay homogeneous")
-        d = self.degree
-        return BinaryForm(d - 1, tuple((d - i) * self.coeffs[i] for i in range(d)))
-
     def partial(self, kx: int, kz: int) -> "BinaryForm":
-        f = self
-        for _ in range(kx):
-            f = f.dx()
-        for _ in range(kz):
-            f = f.dz()
-        return f
-
-    def eval(self, x, z):
-        acc = 0
+        """d^(kx+kz) / dX^kx dZ^kz in one pass: a_i -> (i)_kx (d-i)_kz a_i."""
         d = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            acc = acc + c * x**i * z**(d - i)
-        return acc
+        return BinaryForm(d - kx - kz, tuple(perm(i, kx) * perm(d - i, kz) * self.coeffs[i]
+                                              for i in range(kx, d - kz + 1)))
 
     def map_coeffs(self, fn) -> "BinaryForm":
         return BinaryForm(self.degree, tuple(fn(c) for c in self.coeffs))

@@ -24,7 +24,7 @@ from .catalogue import (CLASSIFIER_BRANCHES, ModuliPoint, absolute_invariants,
 from .errors import (DomainError, GenusError, OffLocusError, PoleError,
                      RecoveryError)
 from .polynomials import Poly, RatFunc, _clear_to_int, poly_divides, poly_gcd
-from .scalars import canonical_order, rational_from_str
+from .scalars import canonical_order, rational_from_str, rational_root
 
 LOCUS_GENERA = (4, 5, 7, 8, 9, 10, 12)
 
@@ -61,6 +61,9 @@ class LocusEntry:
     special_values: tuple = ()
     special_condition: dict | None = None
     degenerate_branch: dict | None = None
+    parameter_poly: Poly | None = None      # special_condition, parsed
+    point_relation: Poly | None = None      # special_condition, parsed
+    condition_factors: tuple = ()           # degenerate_branch, parsed
     published_variants: dict | None = None
     note: str = ""
 
@@ -109,6 +112,8 @@ def load_locus_table(path: str | None = None) -> LocusTable:
             )
             for sv in obj.get("special_values", ())
         )
+        cond = obj.get("special_condition")
+        branch = obj.get("degenerate_branch")
         entries[g] = LocusEntry(
             genus=g,
             kind=obj["kind"],
@@ -117,8 +122,11 @@ def load_locus_table(path: str | None = None) -> LocusTable:
             p1=_parse_ratfunc(obj["p1"]) if obj.get("p1") else None,
             p2=_parse_ratfunc(obj["p2"]) if obj.get("p2") else None,
             special_values=specials,
-            special_condition=obj.get("special_condition"),
-            degenerate_branch=obj.get("degenerate_branch"),
+            special_condition=cond,
+            degenerate_branch=branch,
+            parameter_poly=_parse_poly(cond["parameter_poly"]) if cond else None,
+            point_relation=_parse_poly(cond["point_relation"]) if cond else None,
+            condition_factors=tuple(map(_parse_poly, branch["condition_factors"] if branch else ())),
             published_variants=obj.get("published_variants"),
             note=obj.get("note", ""),
         )
@@ -152,21 +160,17 @@ def locus_parametrization(genus: int, mu, table: LocusTable | None = None):
         if sv.mu == mu:
             value = sv.recomputed if sv.recomputed is not None else sv.published
             return ModuliPoint(genus=genus, case_tag=sv.case_tag, values=(value,))
-    if entry.special_condition is not None:
-        cubic = _parse_poly(entry.special_condition["parameter_poly"])
-        if cubic(mu) == 0:
-            return CubicConstraint(
-                genus=genus,
-                case_tag=entry.special_condition.get("case", f"g={genus}"),
-                parameter_poly=cubic,
-                relation=_parse_poly(entry.special_condition["point_relation"]),
-            )
-    if entry.degenerate_branch is not None:
-        for factor in entry.degenerate_branch["condition_factors"]:
-            if _parse_poly(factor)(mu) == 0:
-                raise DomainError(
-                    f"genus {genus} degenerate branch at mu = {mu}: "
-                    + entry.degenerate_branch["note"])
+    if entry.parameter_poly is not None and entry.parameter_poly(mu) == 0:
+        return CubicConstraint(
+            genus=genus,
+            case_tag=entry.special_condition.get("case", f"g={genus}"),
+            parameter_poly=entry.parameter_poly,
+            relation=entry.point_relation,
+        )
+    if any(factor(mu) == 0 for factor in entry.condition_factors):
+        raise DomainError(
+            f"genus {genus} degenerate branch at mu = {mu}: "
+            + entry.degenerate_branch["note"])
     try:
         v1 = entry.p1.eval(mu)
         v2 = entry.p2.eval(mu)
@@ -233,8 +237,6 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
 
 def _rational_roots(p: Poly):
     """All rational roots of p, or None if extraction is out of reach."""
-    from math import isqrt
-
     roots = set()
     # strip mu = 0 roots
     coeffs = list(p.coeffs)
@@ -248,14 +250,9 @@ def _rational_roots(p: Poly):
             return sorted(roots)
         if p.degree == 2:
             c, b, a = p.coeffs
-            disc = b * b - 4 * a * c
-            if disc < 0:
+            s = rational_root(b * b - 4 * a * c, 2)
+            if s is None:
                 return sorted(roots)
-            n, d = disc.numerator, disc.denominator
-            rn, rd = isqrt(n), isqrt(d)
-            if rn * rn != n or rd * rd != d:
-                return sorted(roots)
-            s = Fraction(rn, rd)
             roots.add((-b + s) / (2 * a))
             roots.add((-b - s) / (2 * a))
             return sorted(roots)
@@ -422,9 +419,8 @@ def verify_genus(genus: int, table: LocusTable | None = None) -> list[dict]:
             "name": f"special-value(mu={sv.mu})", "status": status,
             "detail": f"classify gives {value}; published {sv.published}"})
 
-    if genus == 7 and entry.special_condition is not None:
-        cubic = _parse_poly(entry.special_condition["parameter_poly"])
-        rel = _parse_poly(entry.special_condition["point_relation"])
+    if genus == 7 and entry.parameter_poly is not None:
+        cubic, rel = entry.parameter_poly, entry.point_relation
         # v3 = I6/I6p as a rational function of mu; rel(v3) must vanish mod cubic
         v3 = absolute_invariants(F).v3
         n, d = v3.num, v3.den
@@ -436,8 +432,7 @@ def verify_genus(genus: int, table: LocusTable | None = None) -> list[dict]:
 
     if genus == 5:
         residual = genus5_locus_residual(point.values)
-        report("locus-equation-residual", residual.is_zero
-               if isinstance(residual, (Poly, RatFunc)) else residual == 0,
+        report("locus-equation-residual", residual == 0,
                "identically in the parameter")
         sing = genus5_singular_point_analysis(table)
         report("singular-point-uniqueness",

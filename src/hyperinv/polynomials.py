@@ -398,12 +398,13 @@ class RatFunc:
         return None
 
     def eval(self, x: Fraction) -> Fraction:
+        """Exact evaluation; raises PoleError at zeros of the denominator."""
         x = Fraction(x)
         d = self.den(x)
         if d == 0:
             raise PoleError(f"pole at x = {x}", at=x)
         return self.num(x) / d
 
-def ratfunc_eval(f: RatFunc, x) -> Fraction:
-    """Exact evaluation; raises PoleError at zeros of the denominator."""
-    return f.eval(x)
+
+#: the exported function name for RatFunc.eval
+ratfunc_eval = RatFunc.eval

@@ -12,6 +12,7 @@ All values are immutable; all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ConstraintError, ExactDivisionError
 
@@ -33,6 +34,32 @@ def rational_to_str(value: Fraction) -> str:
 def canonical_order(values) -> list:
     """The distinct values, shortest exact text encoding first."""
     return sorted(set(values), key=lambda q: (len(str(q)), str(q)))
+
+
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 0: isqrt for k = 2, else integer Newton from above."""
+    if k == 2:
+        return isqrt(m)
+    if m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def rational_root(q, k: int):
+    """The real k-th root of a rational if it is rational, else None."""
+    q = Fraction(q)
+    if q < 0 and k % 2 == 0:
+        return None
+    n, d = abs(q.numerator), q.denominator
+    rn, rd = _iroot(n, k), _iroot(d, k)
+    if rn ** k != n or rd ** k != d:
+        return None
+    return Fraction(-rn if q < 0 else rn, rd)
 
 
 class Cyclo:

@@ -61,8 +61,7 @@ def form_to_json(form: BinaryForm, genus: int | None = None) -> dict:
     out = {
         "degree": form.degree,
         "ring": form_ring(form),
-        "coeffs": [scalar_to_json(c if not isinstance(c, int) else Fraction(c))
-                   for c in form.coeffs],
+        "coeffs": [scalar_to_json(c) for c in form.coeffs],
     }
     if genus is not None:
         out["genus"] = genus
@@ -119,8 +118,7 @@ def normal_form_to_json(nf: CyclicNormalForm) -> dict:
         "n": nf.n,
         "genus": nf.genus,
         "ring": ring,
-        "coeffs": [scalar_to_json(c if not isinstance(c, int) else Fraction(c))
-                   for c in nf.coeffs],
+        "coeffs": [scalar_to_json(c) for c in nf.coeffs],
     }
 
 
@@ -144,5 +142,4 @@ def normal_form_from_json(obj) -> CyclicNormalForm:
 
 
 def dihedral_to_json(u: DihedralInvariants) -> dict:
-    return {"u": [scalar_to_json(v if not isinstance(v, int) else Fraction(v))
-                  for v in u.values]}
+    return {"u": [scalar_to_json(v) for v in u.values]}

@@ -167,6 +167,14 @@ def test_reconstruct_irrational_obstruction_reports_polynomial():
     assert err.value.minimal_polynomial is not None
 
 
+@pytest.mark.parametrize("coeffs", [(10 ** 20, 10 ** 20 + 7), (10 ** 150, -(10 ** 150) - 1)])
+def test_reconstruct_needs_exact_cube_roots(coeffs):
+    # t = 3: a_delta^3 is beyond float precision (and, for 10^150, float range)
+    u = dihedral_invariants(make_normal_form(1, 2, 2, coeffs))
+    nf = reconstruct_from_u(u, 1, 2, 2)
+    assert dihedral_invariants(nf).values == u.values
+
+
 @pytest.mark.parametrize("case,n,g", [(1, 2, 5), (1, 2, 3), (2, 3, 4),
                                       (3, 2, 4), (1, 3, 5), (3, 3, 6)])
 def test_reconstruct_roundtrip_forward_sampled(case, n, g, rng):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperinv import (BinaryForm, Covariant, SingularMatrixError,
+from hyperinv import (BinaryForm, Covariant, Cyclo, Poly, SingularMatrixError,
                       TransvectionError, gl2_act, transvect)
 
 from conftest import rationals
@@ -15,6 +15,24 @@ from oracles import (dict_to_coeffs, form_to_dict, naive_substitute,
 def forms(degree, bound=8):
     return st.lists(rationals(bound, 6), min_size=degree + 1,
                     max_size=degree + 1).map(lambda cs: BinaryForm(degree, cs))
+
+
+#: coefficient strategies for each ring the kernel serves: Q, Q(i, sqrt3), Q[mu]
+RING_SCALARS = (
+    rationals(8, 6),
+    st.builds(Cyclo, rationals(4, 3), rationals(4, 3), rationals(4, 3), rationals(4, 3)),
+    st.lists(rationals(4, 3), max_size=3).map(Poly),
+)
+
+
+@st.composite
+def transvectant_cases(draw):
+    """(f, g, r) over one ring, with orders 0..6 and 0 <= r <= min(n, m)."""
+    scalars = draw(st.sampled_from(RING_SCALARS))
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    f = BinaryForm(n, draw(st.lists(scalars, min_size=n + 1, max_size=n + 1)))
+    g = BinaryForm(m, draw(st.lists(scalars, min_size=m + 1, max_size=m + 1)))
+    return f, g, draw(st.integers(0, min(n, m)))
 
 
 X2_PLUS_Z2 = BinaryForm(2, (1, 0, 1))
@@ -41,11 +59,37 @@ def test_range_errors():
 
 
 @settings(max_examples=60)
-@given(forms(5), forms(4), st.integers(0, 4))
-def test_transvectant_matches_naive_oracle(f, g, r):
+@given(transvectant_cases())
+def test_transvectant_matches_naive_oracle(case):
+    f, g, r = case
+    n, m = f.degree, g.degree
     got = transvect(f, g, r).form
-    exp = naive_transvect(form_to_dict(f), form_to_dict(g), 5, 4, r)
-    assert list(got.coeffs) == dict_to_coeffs(exp, 5 + 4 - 2 * r)
+    exp = naive_transvect(form_to_dict(f), form_to_dict(g), n, m, r)
+    assert list(got.coeffs) == dict_to_coeffs(exp, n + m - 2 * r)
+
+
+_I, _MU = Cyclo.i(), Poly.x()
+
+
+@pytest.mark.parametrize("f,g,r,expected", [
+    (BinaryForm(3, (1, 0, 0, 2)), BinaryForm(2, (0, 3, 0)), 1,
+     "BinaryForm(3, [Fraction(-3, 2), Fraction(0, 1), Fraction(0, 1), Fraction(3, 1)])"),
+    (BinaryForm(2, (_I, 0, _I)), BinaryForm(2, (_I, 0, _I)), 1,
+     "BinaryForm(2, [Fraction(0, 1), Cyclo(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+     "Fraction(0, 1)), Fraction(0, 1)])"),
+    (BinaryForm(3, (_I, 0, 0, 1 + _I)), BinaryForm(1, (0, _I)), 1,
+     "BinaryForm(2, [Cyclo(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
+     "Fraction(0, 1), Fraction(0, 1)])"),
+    (BinaryForm(2, (_MU, 0, _MU)), BinaryForm(2, (_MU, 0, _MU)), 1,
+     "BinaryForm(2, [Fraction(0, 1), Poly([]), Fraction(0, 1)])"),
+    (BinaryForm(3, (_MU, 0, 0, _MU + 1)), BinaryForm(2, (0, _MU, 0)), 1,
+     "BinaryForm(3, [Poly([Fraction(0, 1), Fraction(0, 1), Fraction(-1, 2)]), Fraction(0, 1), "
+     "Fraction(0, 1), Poly([Fraction(0, 1), Fraction(1, 2), Fraction(1, 2)])])"),
+])
+def test_transvectant_zero_slot_types_are_pinned(f, g, r, expected):
+    # a slot no product reaches is Fraction(0); one whose products cancel keeps
+    # its ring's zero (Poly([]), Cyclo(0, ...)); the CLI encodes them differently
+    assert repr(transvect(f, g, r).form) == expected
 
 
 @settings(max_examples=60)

@@ -74,6 +74,26 @@ def test_genus7_constraint_branch_data():
     assert _rational_roots(_parse_poly(cond["parameter_poly"])) == []
 
 
+def test_fixture_polynomials_are_parsed_at_load(monkeypatch):
+    from hyperinv import loci
+    table = load_locus_table()
+    e7, e10 = table.entry(7), table.entry(10)
+    cond, branch = e7.special_condition, e10.degenerate_branch
+    assert e7.parameter_poly == loci._parse_poly(cond["parameter_poly"])
+    assert e7.point_relation == loci._parse_poly(cond["point_relation"])
+    assert e10.condition_factors == tuple(
+        loci._parse_poly(f) for f in branch["condition_factors"])
+
+    def no_parse(strings):
+        raise AssertionError("fixture polynomial parsed after load")
+
+    monkeypatch.setattr(loci, "_parse_poly", no_parse)
+    point = locus_parametrization(7, Fraction(3), table)
+    assert recover_mu(7, point, table) == [Fraction(3)]
+    with pytest.raises(DomainError):
+        locus_parametrization(10, Fraction(782, 251), table)
+
+
 def test_recover_mu_round_trip_basic():
     point = locus_parametrization(9, Fraction(3))
     assert recover_mu(9, point) == [Fraction(3)]

@@ -105,3 +105,22 @@ def test_roots_of_unity_orders(order):
 def test_unrepresentable_root_orders(order):
     with pytest.raises(ConstraintError):
         root_of_unity(order)
+
+
+def test_rational_root_is_exact_beyond_float_range():
+    from hyperinv.scalars import rational_root
+    assert rational_root(Fraction(10 ** 400), 3) is None      # not a cube; no OverflowError
+    assert rational_root(Fraction(10 ** 399), 3) == 10 ** 133
+    assert rational_root(Fraction(10 ** 60), 3) == 10 ** 20
+    assert rational_root((10 ** 40 + 7) ** 3, 3) == 10 ** 40 + 7
+    assert rational_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
+    assert rational_root(Fraction(-4), 2) is None
+    assert rational_root(0, 5) == 0
+
+
+@given(rationals(10 ** 30, 10 ** 20), st.integers(1, 12), st.integers(1, 10 ** 30))
+def test_rational_root_inverts_powers(q, k, n):
+    from hyperinv.scalars import rational_root
+    assert rational_root(q ** k, k) == (abs(q) if k % 2 == 0 else q)
+    if k > 1:  # n^k < n^k + 1 < (n+1)^k
+        assert rational_root(n ** k + 1, k) is None
