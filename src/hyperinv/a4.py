@@ -15,12 +15,11 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
+from .catalogue import SUPPORTED_GENERA as A4_GENERA
 from .errors import DomainError, GenusError, PoleError
 from .forms import BinaryForm
 from .polynomials import Poly
 from .scalars import Cyclo
-
-A4_GENERA = (4, 5, 7, 8, 9, 10, 12)
 
 #: active, adjudicated model variants vs. verbatim published ones
 VARIANTS = ("adjudicated", "display")

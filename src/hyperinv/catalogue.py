@@ -42,8 +42,6 @@ from .errors import GenusError, UndefinedInvariantError, UnsupportedDegreeError
 from .forms import BinaryForm, Covariant, transvect
 from .polynomials import Poly, RatFunc
 
-SUPPORTED_GENERA = (4, 5, 7, 8, 9, 10, 12)
-
 INVARIANT_KEYS = ("I2", "I3", "I4", "I4p", "I6", "I6p", "I6star_ast", "I12",
                   "I6star", "I12ast")
 
@@ -276,6 +274,8 @@ CLASSIFIER_BRANCHES = {
     10: ("I12", ("g=10, I_12 != 0", ("s2", "s1")), ("g=10, I_12 = 0", ("v5",))),
     12: ("I2", ("g=12, I_2 != 0", ("i1", "i3")), ("g=12, I_2 = 0", ("v4",))),
 }
+#: the genera of the loci this package covers (also loci.LOCUS_GENERA, a4.A4_GENERA)
+SUPPORTED_GENERA = tuple(CLASSIFIER_BRANCHES)
 
 
 def classify_point(F: BinaryForm, genus: int) -> ModuliPoint:

@@ -20,28 +20,11 @@ from .catalogue import (absolute_invariants, classify_point,
 from .cyclic import dihedral_invariants, reconstruct_from_u, signature_row
 from .errors import DomainError, InputError
 from .loci import default_table, load_locus_table, recover_mu, verify_genus
-from .scalars import rational_from_str, rational_to_str
-from .serialize import (absolute_to_json, dihedral_to_json, form_from_json,
+from .scalars import rational_to_str
+from .serialize import (absolute_to_json, dihedral_to_json, field, form_from_json,
                         form_to_json, invariant_set_to_json,
                         moduli_point_to_json, normal_form_from_json,
                         normal_form_to_json, scalar_from_json)
-
-COMMANDS = ("invariants", "classify", "vanishing", "dihedral", "reconstruct",
-            "model", "recover", "verify-locus", "catalogue")
-
-
-def _need(payload: dict, key: str):
-    if key not in payload:
-        raise InputError(f"payload missing {key!r}")
-    return payload[key]
-
-
-def _genus(payload: dict) -> int:
-    g = _need(payload, "genus")
-    if not isinstance(g, int):
-        raise InputError(f"genus must be an integer, got {g!r}")
-    return g
-
 
 def _cmd_invariants(payload, ctx):
     form, _ = form_from_json(payload)
@@ -76,59 +59,50 @@ def _cmd_dihedral(payload, ctx):
 
 
 def _cmd_reconstruct(payload, ctx):
-    u_raw = _need(payload, "u")
-    if not isinstance(u_raw, list):
-        raise InputError("u must be an array of rational strings")
-    u = tuple(scalar_from_json(s, "Q") for s in u_raw)
-    case = _need(payload, "case")
-    n = _need(payload, "n")
-    nf = reconstruct_from_u(u, case, n, _genus(payload))
+    u = tuple(scalar_from_json(s, "Q") for s in field(payload, "u", list))
+    nf = reconstruct_from_u(u, field(payload, "case", int), field(payload, "n", int),
+                            field(payload, "genus", int))
     return normal_form_to_json(nf)
 
 
 def _cmd_model(payload, ctx):
-    family = payload.get("family", "rational")
-    g = _genus(payload)
+    family = field(payload, "family", str, "rational")
+    g = field(payload, "genus", int)
     if family == "rational":
-        mu = payload.get("mu")
+        mu = field(payload, "mu", default=None)
         if mu is None and g != 4:
             raise InputError("rational model needs mu")
-        variant = payload.get("variant", "adjudicated")
+        variant = field(payload, "variant", str, "adjudicated")
         if variant not in ("adjudicated", "display"):
             raise InputError(f"unknown variant {variant!r}")
-        if mu is not None and not isinstance(mu, str):
-            raise InputError("mu must be a rational string")
-        form = rational_model(g, rational_from_str(mu) if mu is not None else None,
+        form = rational_model(g, scalar_from_json(mu, "Q") if mu is not None else None,
                               variant=variant)
         return form_to_json(form, genus=g)
     if family == "table2":
-        lams = payload.get("lambdas")
-        if not isinstance(lams, list):
-            raise InputError("table2 model needs a lambdas array")
-        form = a4_curve_model(g, [scalar_from_json(s, "Qi_sqrt3") if isinstance(s, list)
-                                  else rational_from_str(s) for s in lams])
+        form = a4_curve_model(g, [scalar_from_json(s, "Qi_sqrt3" if isinstance(s, list) else "Q")
+                                  for s in field(payload, "lambdas", list)])
         return form_to_json(form, genus=g)
     raise InputError(f"unknown model family {family!r}")
 
 
 def _cmd_recover(payload, ctx):
-    g = _genus(payload)
-    p_raw = _need(payload, "p")
-    if not isinstance(p_raw, list) or not 1 <= len(p_raw) <= 2:
+    g = field(payload, "genus", int)
+    p_raw = field(payload, "p", list)
+    if not 1 <= len(p_raw) <= 2:
         raise InputError("p must be an array of one or two rational strings")
-    point = tuple(rational_from_str(s) for s in p_raw)
+    point = tuple(scalar_from_json(s, "Q") for s in p_raw)
     mus = recover_mu(g, point, table=ctx["table"])
     return {"mu": rational_to_str(mus[0]), "all": [rational_to_str(m) for m in mus]}
 
 
 def _cmd_verify_locus(payload, ctx):
-    g = _genus(payload)
+    g = field(payload, "genus", int)
     return {"genus": g, "checks": verify_genus(g, table=ctx["table"])}
 
 
 def _cmd_catalogue(payload, ctx):
-    group = _need(payload, "group")
-    row = signature_row(group, _genus(payload), payload.get("n"))
+    row = signature_row(field(payload, "group", str), field(payload, "genus", int),
+                        field(payload, "n", int, None))
     return {"group": row.group, "delta": row.delta,
             "signature": list(row.signature), "involutions": row.involutions}
 
@@ -144,25 +118,21 @@ _HANDLERS = {
     "verify-locus": _cmd_verify_locus,
     "catalogue": _cmd_catalogue,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _run_one(request, ctx) -> tuple[dict, int]:
-    if not isinstance(request, dict):
-        raise InputError("each request must be an object")
-    command = request.get("command")
-    if command not in COMMANDS:
-        raise InputError(f"unknown command {command!r}; expected one of {COMMANDS}")
-    payload = request.get("payload")
-    if not isinstance(payload, dict):
-        raise InputError("payload must be an object")
+    """The report and exit code: 0 "ok", 1 "error" (DomainError), 2 "invalid"."""
     start = time.monotonic()
     try:
-        result = _HANDLERS[command](payload, ctx)
+        command = field(request, "command", str)
+        if command not in _HANDLERS:
+            raise InputError(f"unknown command {command!r}; expected one of {COMMANDS}")
+        result = _HANDLERS[command](field(request, "payload", dict), ctx)
         status, body, code = "ok", {"result": result}, 0
-    except DomainError as exc:
-        status = "error"
+    except (DomainError, InputError) as exc:
+        status, code = ("error", 1) if isinstance(exc, DomainError) else ("invalid", 2)
         body = {"error": {"name": type(exc).__name__, "message": str(exc)}}
-        code = 1
     wall_ms = round((time.monotonic() - start) * 1000, 3)
     report = {"status": status,
               "provenance": {"kernel": f"hyperinv {__version__}",
@@ -192,7 +162,7 @@ def main(argv=None) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
 
@@ -202,37 +172,41 @@ def main(argv=None) -> int:
         print(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
+    except (ValueError, RecursionError) as exc:     # over-long integer, deep nesting
+        print(f"malformed JSON: {exc}", file=sys.stderr)
+        return 2
 
     try:
         table = load_locus_table(args.fixture) if args.fixture else default_table()
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError, InputError, DomainError) as exc:
         print(f"cannot load fixture: {exc}", file=sys.stderr)
         return 2
     ctx = {"table": table}
 
-    try:
-        if args.batch:
-            if not isinstance(data, list):
-                raise InputError("--batch expects a JSON array of requests")
-            reports = []
-            exit_code = 0
-            for request in data:
-                report, code = _run_one(request, ctx)
-                reports.append(report)
-                exit_code = max(exit_code, code)
-            out = reports
-        else:
-            out, exit_code = _run_one(data, ctx)
-    except InputError as exc:
-        print(f"malformed request: {exc}", file=sys.stderr)
-        return 2
+    if args.batch:
+        if not isinstance(data, list):
+            print("malformed request: --batch expects a JSON array of requests",
+                  file=sys.stderr)
+            return 2
+        runs = [_run_one(request, ctx) for request in data]
+        out = [report for report, _ in runs]
+        exit_code = max((code for _, code in runs), default=0)
+    else:
+        out, exit_code = _run_one(data, ctx)
+        if exit_code == 2:
+            print(f"malformed request: {out['error']['message']}", file=sys.stderr)
+            return 2
 
     rendered = json.dumps(out, sort_keys=True, indent=1 if args.pretty else None)
-    if args.output == "-":
-        print(rendered)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+    try:
+        if args.output == "-":
+            print(rendered)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     return exit_code
 
 

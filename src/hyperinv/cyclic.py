@@ -375,6 +375,8 @@ def signature_row(group: str, g: int, n: int | None = None) -> SignatureRow:
 def _need_n(n):
     if n is None:
         raise ConstraintError("cyclic rows need the cyclic order n")
+    if n < 2:
+        raise ConstraintError(f"cyclic order n must be >= 2, got {n}")
     return n
 
 

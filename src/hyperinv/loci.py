@@ -19,14 +19,15 @@ from importlib import resources
 from operator import add
 
 from .a4 import rational_model
-from .catalogue import (CLASSIFIER_BRANCHES, ModuliPoint, absolute_invariants,
-                        classify_point, vanishing_profile)
-from .errors import (DomainError, GenusError, OffLocusError, PoleError,
-                     RecoveryError)
+from .catalogue import (CLASSIFIER_BRANCHES, SUPPORTED_GENERA, ModuliPoint,
+                        absolute_invariants, classify_point, vanishing_profile)
+from .errors import (DomainError, GenusError, InputError, OffLocusError,
+                     PoleError, RecoveryError)
 from .polynomials import Poly, RatFunc, _clear_to_int, poly_divides, poly_gcd
 from .scalars import canonical_order, rational_from_str, rational_root
+from .serialize import field
 
-LOCUS_GENERA = (4, 5, 7, 8, 9, 10, 12)
+LOCUS_GENERA = SUPPORTED_GENERA
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,18 @@ class LocusTable:
 
 
 def _parse_poly(strings) -> Poly:
+    if not isinstance(strings, list):
+        raise InputError(f"a polynomial must be an array of rational strings, got {strings!r}")
     return Poly(tuple(rational_from_str(s) for s in strings))
 
 
 def _parse_ratfunc(obj) -> RatFunc:
-    return RatFunc(_parse_poly(obj["num"]), _parse_poly(obj["den"]))
+    return RatFunc(_parse_poly(field(obj, "num")), _parse_poly(field(obj, "den")))
 
 
 def load_locus_table(path: str | None = None) -> LocusTable:
-    """Load the shipped fixture, or an override file."""
+    """Load the shipped fixture, or an override file; a malformed one raises
+    InputError, ValueError (JSON, genus keys) or ExactDivisionError."""
     if path is None:
         text = resources.files("hyperinv").joinpath("data/locus_table.json").read_text()
     else:
@@ -98,39 +102,44 @@ def load_locus_table(path: str | None = None) -> LocusTable:
             text = fh.read()
     raw = json.loads(text)
     entries = {}
-    for key, obj in raw["genera"].items():
+    for key, obj in field(raw, "genera", dict).items():
         g = int(key)
         specials = tuple(
             SpecialValue(
-                mu=rational_from_str(sv["mu"]),
-                published=rational_from_str(sv["published"]),
+                mu=rational_from_str(field(sv, "mu")),
+                published=rational_from_str(field(sv, "published")),
                 recomputed=(rational_from_str(sv["recomputed"])
                             if sv.get("recomputed") else None),
-                status=sv["status"],
-                case_tag=sv.get("case", ""),
-                note=sv.get("note", ""),
+                status=field(sv, "status", str),
+                case_tag=field(sv, "case", str, ""),
+                note=field(sv, "note", str, ""),
             )
-            for sv in obj.get("special_values", ())
+            for sv in field(obj, "special_values", list, ())
         )
-        cond = obj.get("special_condition")
-        branch = obj.get("degenerate_branch")
+        cond = field(obj, "special_condition", dict, None)
+        branch = field(obj, "degenerate_branch", dict, None)
+        if branch:
+            field(branch, "note", str)          # read when the branch is hit
+        kind = field(obj, "kind", str)
+        constant = kind == "constant"
         entries[g] = LocusEntry(
             genus=g,
-            kind=obj["kind"],
-            status=obj["status"],
-            value=rational_from_str(obj["value"]) if obj.get("value") else None,
-            p1=_parse_ratfunc(obj["p1"]) if obj.get("p1") else None,
-            p2=_parse_ratfunc(obj["p2"]) if obj.get("p2") else None,
+            kind=kind,
+            status=field(obj, "status", str),
+            value=rational_from_str(field(obj, "value")) if constant else None,
+            p1=None if constant else _parse_ratfunc(field(obj, "p1")),
+            p2=None if constant else _parse_ratfunc(field(obj, "p2")),
             special_values=specials,
             special_condition=cond,
             degenerate_branch=branch,
-            parameter_poly=_parse_poly(cond["parameter_poly"]) if cond else None,
-            point_relation=_parse_poly(cond["point_relation"]) if cond else None,
-            condition_factors=tuple(map(_parse_poly, branch["condition_factors"] if branch else ())),
-            published_variants=obj.get("published_variants"),
-            note=obj.get("note", ""),
+            parameter_poly=_parse_poly(field(cond, "parameter_poly")) if cond else None,
+            point_relation=_parse_poly(field(cond, "point_relation")) if cond else None,
+            condition_factors=tuple(map(_parse_poly, field(branch, "condition_factors", list)
+                                        if branch else ())),
+            published_variants=field(obj, "published_variants", dict, None),
+            note=field(obj, "note", str, ""),
         )
-    return LocusTable(version=raw["version"], entries=entries)
+    return LocusTable(version=field(raw, "version", str), entries=entries)
 
 
 _DEFAULT_TABLE = None

@@ -11,17 +11,28 @@ All values are immutable; all operations are pure.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ConstraintError, ExactDivisionError
+from .errors import ConstraintError, ExactDivisionError, InputError
 
 Rational = Fraction
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
-def rational_from_str(text: str) -> Fraction:
-    """Parse the "p/q" (or plain "p") exact encoding."""
-    return Fraction(text.strip())
+
+def rational_from_str(text) -> Fraction:
+    """Parse the exact encoding "p/q" (or plain "p") with q != 0; anything else
+    is an InputError (no decimal or exponent forms: "1e999999999" would make a
+    huge integer)."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    try:
+        if match:
+            return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError):     # over-long digit string, q = 0
+        pass
+    raise InputError(f'expected a rational string "p/q" with q != 0, got {text!r}')
 
 
 def rational_to_str(value: Fraction) -> str:

@@ -21,6 +21,25 @@ from .scalars import Cyclo, rational_from_str, rational_to_str
 
 RINGS = ("Q", "Qi_sqrt3", "Q[mu]")
 
+_REQUIRED = object()
+_JSON_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def field(obj, key: str, kind=object, default=_REQUIRED):
+    """The value under ``key`` in the JSON object ``obj``, of JSON type ``kind``
+    (a bool is never an int); a missing or null field gives ``default``.  Any
+    other shape raises InputError."""
+    if not isinstance(obj, dict):
+        raise InputError(f"expected an object holding {key!r}, got {obj!r}")
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InputError(f"missing field {key!r}")
+        return default
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise InputError(f"{key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
 
 def scalar_to_json(value):
     if isinstance(value, (int, Fraction)):
@@ -35,25 +54,20 @@ def scalar_to_json(value):
 
 
 def scalar_from_json(obj, ring: str):
-    try:
-        if ring == "Q":
-            if not isinstance(obj, str):
-                raise InputError(f"rational scalar must be a string, got {obj!r}")
-            return rational_from_str(obj)
-        if ring == "Qi_sqrt3":
-            if isinstance(obj, str):
-                return Cyclo(rational_from_str(obj))
-            if not isinstance(obj, list) or len(obj) != 4:
-                raise InputError(f"Q(i, sqrt3) scalar must be a 4-array, got {obj!r}")
-            return Cyclo(*(rational_from_str(c) for c in obj))
-        if ring == "Q[mu]":
-            if isinstance(obj, str):
-                return Poly((rational_from_str(obj),))
-            if not isinstance(obj, list):
-                raise InputError(f"Q[mu] scalar must be an array, got {obj!r}")
-            return Poly(tuple(rational_from_str(c) for c in obj))
-    except ValueError as exc:
-        raise InputError(f"bad scalar encoding {obj!r}: {exc}") from None
+    if ring == "Q":
+        return rational_from_str(obj)
+    if ring == "Qi_sqrt3":
+        if isinstance(obj, str):
+            return Cyclo(rational_from_str(obj))
+        if not isinstance(obj, list) or len(obj) != 4:
+            raise InputError(f"Q(i, sqrt3) scalar must be a 4-array, got {obj!r}")
+        return Cyclo(*(rational_from_str(c) for c in obj))
+    if ring == "Q[mu]":
+        if isinstance(obj, str):
+            return Poly((rational_from_str(obj),))
+        if not isinstance(obj, list):
+            raise InputError(f"Q[mu] scalar must be an array, got {obj!r}")
+        return Poly(tuple(rational_from_str(c) for c in obj))
     raise InputError(f"unknown ring {ring!r}; expected one of {RINGS}")
 
 
@@ -69,24 +83,16 @@ def form_to_json(form: BinaryForm, genus: int | None = None) -> dict:
 
 
 def form_from_json(obj) -> tuple[BinaryForm, int | None]:
-    if not isinstance(obj, dict):
-        raise InputError("form payload must be an object")
-    for key in ("degree", "ring", "coeffs"):
-        if key not in obj:
-            raise InputError(f"form payload missing {key!r}")
-    degree = obj["degree"]
-    ring = obj["ring"]
-    coeffs = obj["coeffs"]
-    if not isinstance(degree, int) or degree < 0:
+    degree = field(obj, "degree", int)
+    ring = field(obj, "ring", str)
+    coeffs = field(obj, "coeffs", list)
+    genus = field(obj, "genus", int, None)
+    if degree < 0:
         raise InputError(f"degree must be a non-negative integer, got {degree!r}")
-    if not isinstance(coeffs, list) or len(coeffs) != degree + 1:
+    if len(coeffs) != degree + 1:
         raise InputError(f"degree-{degree} form needs {degree + 1} coefficients")
-    genus = obj.get("genus")
-    if genus is not None:
-        if not isinstance(genus, int):
-            raise InputError("genus must be an integer")
-        if degree != 2 * genus + 2:
-            raise InputError(f"genus {genus} implies degree {2 * genus + 2}, got {degree}")
+    if genus is not None and degree != 2 * genus + 2:
+        raise InputError(f"genus {genus} implies degree {2 * genus + 2}, got {degree}")
     form = BinaryForm(degree, tuple(scalar_from_json(c, ring) for c in coeffs))
     return form, genus
 
@@ -123,22 +129,12 @@ def normal_form_to_json(nf: CyclicNormalForm) -> dict:
 
 
 def normal_form_from_json(obj) -> CyclicNormalForm:
-    if not isinstance(obj, dict):
-        raise InputError("normal-form payload must be an object")
-    for key in ("case", "n", "genus", "coeffs"):
-        if key not in obj:
-            raise InputError(f"normal-form payload missing {key!r}")
-    ring = obj.get("ring", "Q")
+    ring = field(obj, "ring", str, "Q")
     if ring == "Q[mu]":
         raise InputError("normal-form coefficients must be Q or Qi_sqrt3 scalars")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list):
-        raise InputError("coeffs must be an array")
-    try:
-        return make_normal_form(obj["case"], obj["n"], obj["genus"],
-                                tuple(scalar_from_json(c, ring) for c in coeffs))
-    except TypeError as exc:
-        raise InputError(f"bad normal-form payload: {exc}") from None
+    coeffs = tuple(scalar_from_json(c, ring) for c in field(obj, "coeffs", list))
+    return make_normal_form(field(obj, "case", int), field(obj, "n", int),
+                            field(obj, "genus", int), coeffs)
 
 
 def dihedral_to_json(u: DihedralInvariants) -> dict:

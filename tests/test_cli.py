@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperinv.cli import main
 
@@ -13,6 +19,18 @@ def run_cli(tmp_path, payload, *args):
     code = main(["--input", str(inp), "--output", str(out), *args])
     text = out.read_text() if out.exists() else ""
     return code, json.loads(text) if text else None
+
+
+def call_main(data, *args):
+    """main() on ``data`` as stdin; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(data if isinstance(data, str) else json.dumps(data))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(args))
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 def form_payload(genus, mu):
@@ -240,3 +258,147 @@ def test_pretty_output(tmp_path):
                                "payload": {"group": "Z2xA4", "genus": 5}}))
     assert main(["--input", str(inp), "--output", str(out), "--pretty"]) == 0
     assert out.read_text().count("\n") > 3
+
+
+_U = ["2", "-66", "-4", "-66", "2"]
+_G5 = {"degree": 12, "ring": "Q", "genus": 5, "coeffs": ["1"] + ["0"] * 11 + ["1"]}
+_CATALOGUE = {"command": "catalogue", "payload": {"group": "Z2xA4", "genus": 5}}
+
+
+@pytest.mark.parametrize("request_", [
+    {"command": "recover", "payload": {"genus": 9, "p": ["1/0", "2"]}},
+    {"command": "recover", "payload": {"genus": 9, "p": ["abc", "2"]}},
+    {"command": "recover", "payload": {"genus": 9, "p": [[]]}},
+    {"command": "model", "payload": {"genus": 5, "mu": "x"}},
+    {"command": "model", "payload": {"genus": 5, "mu": "1/0"}},
+    {"command": "model", "payload": {"genus": 10, "family": "table2", "lambdas": [5]}},
+    {"command": "catalogue", "payload": {"group": "Z2n", "genus": 5, "n": "3"}},
+    {"command": "catalogue", "payload": {"group": "Z2n", "genus": 5, "n": []}},
+    {"command": "catalogue", "payload": {"group": "Z2n", "genus": 5, "n": {}}},
+    {"command": "catalogue", "payload": {"group": "Z2n", "genus": 5, "n": False}},
+    {"command": "catalogue", "payload": {"group": "Z2xA4", "genus": True}},
+    {"command": "reconstruct", "payload": {"u": _U, "case": 1, "n": "Z2xA4", "genus": 5}},
+    {"command": "reconstruct", "payload": {"u": _U, "case": "1", "n": 2, "genus": 5}},
+    {"command": "classify", "payload": {**_G5, "coeffs": ["1/0"] + _G5["coeffs"][1:]}},
+])
+def test_malformed_field_exits_2_with_one_line(request_):
+    code, out, err = call_main(request_)
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed request: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"n": ' + "9" * 5000 + "}"],
+                         ids=["deep-nesting", "5000-digit-integer"])
+def test_unparsable_json_exits_2_with_one_line(text):
+    code, out, err = call_main(text)
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed JSON") and err.count("\n") == 1
+
+
+def test_unreadable_input_and_unwritable_output_exit_2(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"command": "\xff"}')
+    code, out, err = call_main("", "--input", str(bad))
+    assert (code, out) == (2, "") and err.startswith("cannot read input")
+    code, out, err = call_main(_CATALOGUE, "--output", str(tmp_path / "no" / "out.json"))
+    assert (code, out) == (2, "") and err.startswith("cannot write output")
+
+
+def test_cyclic_order_below_two_is_a_domain_error():
+    for n in (-1, 0, 1):
+        code, out, _ = call_main({"command": "catalogue",
+                                  "payload": {"group": "Z2n", "genus": 5, "n": n}})
+        assert code == 1
+        assert json.loads(out)["error"]["name"] == "ConstraintError"
+
+
+def test_batch_reports_invalid_members_in_place():
+    code, out, err = call_main([_CATALOGUE, {"command": "solve", "payload": {}}, 7,
+                                {"command": "recover", "payload": {"genus": True, "p": ["1"]}}],
+                               "--batch")
+    assert code == 2 and err == ""
+    reports = json.loads(out)
+    assert [r["status"] for r in reports] == ["ok", "invalid", "invalid", "invalid"]
+    assert reports[0]["result"]["involutions"] == 7
+    for report in reports[1:]:
+        assert report["error"]["name"] == "InputError"
+        assert report["provenance"]["fixture"] == "1"
+
+    code, out, err = call_main(_CATALOGUE, "--batch")            # not an array
+    assert (code, out) == (2, "") and err.count("\n") == 1
+
+
+def _fixture_with(mutate):
+    from importlib import resources
+    raw = json.loads(resources.files("hyperinv").joinpath("data/locus_table.json").read_text())
+    mutate(raw)
+    return raw
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda raw: raw["genera"]["5"]["p1"]["num"].__setitem__(0, "1/0"),
+    lambda raw: raw["genera"]["5"]["p1"]["num"].__setitem__(0, 3),
+    lambda raw: raw.__setitem__("genera", []),
+    lambda raw: raw["genera"]["5"].__setitem__("p1", "x"),
+], ids=["zero-denominator", "int-leaf", "genera-array", "p1-string"])
+def test_malformed_fixture_exits_2_with_one_line(tmp_path, mutate):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_fixture_with(mutate)))
+    code, out, err = call_main(_CATALOGUE, "--fixture", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot load fixture: ") and err.count("\n") == 1
+
+
+# Valid, cheap requests (genus <= 5, verify-locus at genus 4 only) to mutate.
+_FUZZ_SEEDS = [
+    {"command": "invariants", "payload": _G5},
+    {"command": "classify", "payload": {**_G5, "coeffs": ["1", "0", "-2"] + ["0"] * 9 + ["1"]}},
+    {"command": "vanishing", "payload": _G5},
+    {"command": "dihedral", "payload": {"case": 1, "n": 2, "genus": 5, "ring": "Q",
+                                        "coeffs": ["-1", "-33", "2", "-33", "-1"]}},
+    {"command": "reconstruct", "payload": {"u": _U, "case": 1, "n": 2, "genus": 5}},
+    {"command": "model", "payload": {"genus": 5, "mu": "4/3", "variant": "display"}},
+    {"command": "model", "payload": {"genus": 5, "family": "table2",
+                                     "lambdas": [["3", "1", "0", "1/2"]]}},
+    {"command": "recover", "payload": {"genus": 5, "p": ["1", "1"]}},
+    {"command": "verify-locus", "payload": {"genus": 4}},
+    _CATALOGUE,
+    {"command": "catalogue", "payload": {"group": "Z2n", "genus": 5, "n": 11}},
+]
+_SWAPS = [True, False, None, 0, 1, -1, 3, 1.5, "", "x", "3", "1/0", [], ["1"], {}, {"n": 2}]
+
+
+def _spots(container):
+    """Every (container, key) slot in a JSON value."""
+    keys = container.keys() if isinstance(container, dict) else range(len(container))
+    for key in list(keys):
+        yield container, key
+        if isinstance(container[key], (dict, list)):
+            yield from _spots(container[key])
+
+
+@st.composite
+def mutated_requests(draw):
+    """A valid request with one or two slots dropped or swapped for another JSON value."""
+    holder = [copy.deepcopy(draw(st.sampled_from(_FUZZ_SEEDS)))]
+    for _ in range(draw(st.integers(1, 2))):
+        container, key = draw(st.sampled_from(list(_spots(holder))))
+        if container is not holder and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(st.sampled_from(_SWAPS))
+    return holder[0]
+
+
+@settings(max_examples=400)
+@given(mutated_requests(), st.booleans())
+def test_fuzzed_requests_keep_the_cli_contract(request_, batch):
+    code, out, err = call_main([request_] if batch else request_, *["--batch"] * batch)
+    assert code in (0, 1, 2)
+    if code == 2 and not batch:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        reports = json.loads(out)
+        report, = reports if batch else [reports]
+        assert {"ok": 0, "error": 1, "invalid": 2}[report["status"]] == code
+        assert err == ""

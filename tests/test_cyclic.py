@@ -276,3 +276,7 @@ def test_signature_row_constraints():
         signature_row("Z2xZn", 3)             # n required
     with pytest.raises(ConstraintError):
         signature_row("Q8", 3, n=2)           # unknown tag
+    for group in ("Z2xZn", "Z2n"):
+        for n in (-1, 0, 1):                  # no cyclic order below 2
+            with pytest.raises(ConstraintError):
+                signature_row(group, 5, n=n)

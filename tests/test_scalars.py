@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperinv import (ConstraintError, Cyclo, ExactDivisionError,
+from hyperinv import (ConstraintError, Cyclo, ExactDivisionError, InputError,
                       rational_from_str, rational_to_str, root_of_unity,
                       roots_of_unity)
 
@@ -22,6 +22,14 @@ def test_rational_base_field():
     assert rational_from_str("5") == 5
     assert rational_to_str(Fraction(10, 4)) == "5/2"
     assert rational_to_str(Fraction(-3)) == "-3"
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/00", "abc", "", "1.5", "1e3",
+                                  "3/-4", "1_0", pytest.param("9" * 5000, id="5000-digits"),
+                                  3, True, None, [], {}])
+def test_rational_from_str_rejects_everything_but_p_over_q(text):
+    with pytest.raises(InputError):
+        rational_from_str(text)
 
 
 def test_basis_multiplication():

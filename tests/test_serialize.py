@@ -75,6 +75,16 @@ def test_form_payload_validation():
         form_from_json({"degree": 0, "ring": "Z5", "coeffs": ["1"]})
     with pytest.raises(InputError):
         scalar_from_json("x+1", "Q")
+    with pytest.raises(InputError):
+        form_from_json({"degree": True, "ring": "Q", "coeffs": ["1", "1"]})  # a bool is no int
+    with pytest.raises(InputError):
+        form_from_json({"degree": 4, "ring": "Q", "genus": True,
+                        "coeffs": ["1", "0", "0", "0", "1"]})
+    with pytest.raises(InputError):
+        normal_form_from_json({"case": "1", "n": 2, "genus": 5,
+                               "coeffs": ["-1", "-33", "2", "-33", "-1"]})
+    with pytest.raises(InputError):
+        normal_form_from_json(["case", 1])
 
 
 def test_normal_form_round_trip():
