@@ -5,8 +5,8 @@ For every supported genus this runs the exact symbolic pipeline (vanishing
 profiles identically in the parameter, classify-vs-table rational-function
 identities, special values, the genus-7 constraint relation, the genus-5
 locus equation) and prints one line per check.  Expected output: every check
-passes, with the two documented recomputed-differs statuses for the genus-9
-special value and the genus-12 transcription.
+passes, with four documented recomputed-differs statuses: the transcription
+statuses of genera 7, 9 and 12, and the genus-9 special value.
 
 Usage: python scripts/verify_locus_table.py [genus ...]
 """

@@ -16,7 +16,8 @@ from functools import reduce
 from operator import mul
 
 from .catalogue import SUPPORTED_GENERA as A4_GENERA
-from .errors import DomainError, GenusError, PoleError
+from .cyclic import group_row
+from .errors import ConstraintError, DomainError, GenusError, PoleError
 from .forms import BinaryForm
 from .polynomials import Poly
 from .scalars import Cyclo
@@ -118,24 +119,21 @@ def a4_orbit_polynomial(t) -> BinaryForm:
 
 # -- models over Q(i, sqrt3) -------------------------------------------------
 
-def _prefactor_T():
-    """X^4 + 2 i sqrt3 X^2 + 1."""
-    two_i_sqrt3 = Cyclo(0, 0, 0, 2)
-    return [Cyclo(1), Cyclo(0), two_i_sqrt3, Cyclo(0), Cyclo(1)]
-
-
-def _prefactor_octic():
-    return [1, 0, 0, 0, 14, 0, 0, 0, 1]
-
-
-def _prefactor_R():
-    """X(X^4 - 1)."""
-    return [0, -1, 0, 0, 0, 1]
-
-
 def _product(*factors):
     """Coefficients of a product of univariate coefficient lists."""
     return reduce(mul, (BinaryForm(len(f) - 1, f) for f in factors)).coeffs
+
+
+def _a4_row(g: int):
+    """(group, row, delta) of ``cyclic.GROUP_ROWS`` for g mod 6; GenusError if
+    the row does not admit g."""
+    group = "Z2xA4" if g % 2 else "SL2(3)"
+    try:
+        row, delta = group_row(group, g)
+    except ConstraintError as exc:
+        raise GenusError(
+            f"A4 reduced-automorphism classification excludes g = {g}: {exc}") from None
+    return group, row, delta
 
 
 def a4_curve_model(g: int, lambdas) -> BinaryForm:
@@ -146,33 +144,24 @@ def a4_curve_model(g: int, lambdas) -> BinaryForm:
     equal the row dimension.
     """
     lambdas = [Fraction(l) if isinstance(l, int) else l for l in lambdas]
-    count, group, _ = a4_genus_branch(g)
-    r = g % 6
-    rows = {
-        5: ((g + 1) // 6, [1]),
-        1: ((g - 1) // 6, _prefactor_T()),
-        3: ((g - 3) // 6, _prefactor_octic()),
-        2: ((g - 2) // 6, _prefactor_R()),
-        4: ((g - 4) // 6, _product(_prefactor_R(), _prefactor_T())),
-        0: ((g - 6) // 6, _product(_prefactor_R(), _prefactor_octic())),
-    }
-    delta, prefactor = rows[r]
+    group, row, delta = _a4_row(g)
     if len(lambdas) != delta:
         raise GenusError(
             f"genus {g} ({group}) has dimension {delta}; got {len(lambdas)} branch parameters")
-    poly = _product(prefactor, *map(g_coefficients, lambdas))
+    # the prefactor's own factors are multiplied first, which fixes the type of each zero slot
+    poly = _product(_product(*row.prefactor), *map(g_coefficients, lambdas))
     return BinaryForm.from_univariate(poly, 2 * g + 2)
 
 
 def a4_genus_branch(g: int):
-    """(|V ∩ W|, group tag, g mod 6) for the A4 tower; g = 2, 3, 6 excluded."""
-    if g < 4 or g in (6,):
-        raise GenusError(f"A4 reduced-automorphism classification excludes g = {g}")
-    table = {5: (0, "Z2xA4"), 1: (4, "Z2xA4"), 3: (8, "Z2xA4"),
-             2: (6, "SL2(3)"), 4: (10, "SL2(3)"), 0: (14, "SL2(3)")}
-    r = g % 6
-    count, group = table[r]
-    return count, group, r
+    """(|V ∩ W|, group tag, g mod 6) for the A4 tower.
+
+    One rule admits g: 2 <= g <= cyclic.MAX_GENUS, and the dimension delta
+    of the row for g mod 6 is >= 0 and not excluded there (which leaves out
+    g = 2, 3 and 6).  |V ∩ W| = 2g + 2 - 12 delta.
+    """
+    group, _, delta = _a4_row(g)
+    return 2 * g + 2 - 12 * delta, group, g % 6
 
 
 # -- rational models ---------------------------------------------------------

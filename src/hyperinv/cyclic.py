@@ -20,8 +20,10 @@ up to the 2t-element fiber of the H-action.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConstraintError, ReconstructionError
 from .forms import BinaryForm
@@ -301,7 +303,81 @@ def _verify_roundtrip(nf, values):
             f"(round-trip gave {got})")
 
 
-# -- signature catalogue ----------------------------------------------------
+# -- the paper's group table -------------------------------------------------
+
+#: largest genus the group table answers for: a signature lists about g/6 or
+#: (2g+2)/n entries, so this bounds what one row can build
+MAX_GENUS = 10_000
+
+
+class GroupRow(NamedTuple):
+    """One row of ``GROUP_ROWS``."""
+    c: int | None          # A4 rows: delta = (g - c)/6; None on cyclic rows, where delta = t - 1
+    prefix: tuple          # signature entries before the repeated one
+    repeated: str          # the entry that fills the signature up to delta + 3 branch points
+    excluded: tuple        # delta values the row has no curves for
+    involutions: int
+    prefactor: tuple = ()  # A4 rows: factor lists of the model prefactor, multiplied in order
+
+
+_T = (Cyclo(1), Cyclo(0), Cyclo(0, 0, 0, 2), Cyclo(0), Cyclo(1))  # X^4 + 2 i sqrt3 X^2 + 1
+_OCTIC = (1, 0, 0, 0, 14, 0, 0, 0, 1)                              # X^8 + 14 X^4 + 1
+_R = (0, -1, 0, 0, 0, 1)                                           # X(X^4 - 1)
+
+#: (group, key) -> GroupRow.  key is the case for the cyclic groups (t from
+#: _case_t; Z2n takes case 2 when n | 2g+1, else case 3) and g mod 6 for the
+#: A4 groups.  A locus of dimension delta has delta + 3 branch points, so
+#: that is the signature's length; "{n}" and "{m}" in an entry read as n and
+#: 2n.  group_row admits a row only for 2 <= g <= MAX_GENUS, delta >= 0 and
+#: delta not in excluded; |V ∩ W| of an A4 row is 2g + 2 - 12 delta.
+GROUP_ROWS = {
+    ("Z2xZn", 1): GroupRow(None, ("{n}^2", "{n}^2"), "2^{n}", (0, 1), 3),
+    ("Z2n", 2): GroupRow(None, ("{n}^2", "{m}^1"), "2^{n}", (), 1),
+    ("Z2n", 3): GroupRow(None, ("{m}^1", "{m}^1"), "2^{n}", (0, 1), 1),
+    ("Z2xA4", 5): GroupRow(-1, ("3^8", "3^8"), "2^12", (), 7, ((1,),)),
+    ("Z2xA4", 1): GroupRow(1, ("3^8", "6^4"), "2^12", (), 7, (_T,)),
+    ("Z2xA4", 3): GroupRow(3, ("6^4", "6^4"), "2^12", (0,), 7, (_OCTIC,)),
+    ("SL2(3)", 2): GroupRow(2, ("4^6", "3^8", "3^8"), "2^12", (0,), 1, (_R,)),
+    ("SL2(3)", 4): GroupRow(4, ("4^6", "3^8", "6^4"), "2^12", (), 1, (_R, _T)),
+    ("SL2(3)", 0): GroupRow(6, ("4^6", "6^4", "6^4"), "2^12", (0,), 1, (_R, _OCTIC)),
+}
+
+
+def group_row(group: str, g: int, n: int | None = None) -> tuple[GroupRow, int]:
+    """The row of ``GROUP_ROWS`` that admits (group, g, n), and its delta.
+
+    Every constraint is checked here, before anything is built; a violated
+    one raises ConstraintError naming its column.
+    """
+    keys = [key for tag, key in GROUP_ROWS if tag == group]
+    if not keys:
+        raise ConstraintError(f"unknown group tag {group!r}; "
+                              "expected Z2xZn, Z2n, Z2xA4 or SL2(3)")
+    if not 2 <= g <= MAX_GENUS:
+        raise ConstraintError(f"genus column: g = {g} is outside 2..{MAX_GENUS}")
+    if GROUP_ROWS[group, keys[0]].c is None:
+        if n is None:
+            raise ConstraintError("cyclic rows need the cyclic order n")
+        case, t = _first_case(keys, n, g)
+        row, delta = GROUP_ROWS[group, case], t - 1
+    else:
+        row = GROUP_ROWS.get((group, g % 6))
+        if row is None:
+            raise ConstraintError(f"{group} needs g mod 6 in {sorted(keys)}; got g = {g}")
+        delta = (g - row.c) // 6
+    if delta < 0 or delta in row.excluded:
+        raise ConstraintError(f"dimension column: delta = {delta} is excluded for {group}")
+    return row, delta
+
+
+def _first_case(cases, n, g):
+    """(case, t) for the first case whose divisibility n meets; else the last
+    case's ConstraintError."""
+    for case in cases[:-1]:
+        with suppress(ConstraintError):
+            return case, _case_t(case, n, g)
+    return cases[-1], _case_t(cases[-1], n, g)
+
 
 @dataclass(frozen=True)
 class SignatureRow:
@@ -315,73 +391,11 @@ def signature_row(group: str, g: int, n: int | None = None) -> SignatureRow:
     """Dimension, cover signature, and involution count for one group row.
 
     Cyclic rows need n; the A4-type rows are pinned by g mod 6.  Violated
-    divisibility/congruence/dimension constraints raise ConstraintError
-    naming the failed column.
+    genus/divisibility/congruence/dimension constraints raise ConstraintError
+    naming the failed column (see ``group_row``).
     """
-    if group == "Z2xZn":
-        t = _case_t(1, _need_n(n), g)
-        delta = t - 1
-        _exclude(delta, (0, 1), group)
-        sig = (f"{n}^2", f"{n}^2") + (f"2^{n}",) * t
-        return SignatureRow(group, delta, sig, 3)
-    if group == "Z2n":
-        n = _need_n(n)
-        if (2 * g + 1) % n == 0:
-            t = (2 * g + 1) // n
-            sig = (f"{n}^2", f"{2 * n}^1") + (f"2^{n}",) * t
-            return SignatureRow(group, t - 1, sig, 1)
-        if (2 * g) % n == 0:
-            t = (2 * g) // n
-            delta = t - 1
-            _exclude(delta, (0, 1), group)
-            sig = (f"{2 * n}^1", f"{2 * n}^1") + (f"2^{n}",) * t
-            return SignatureRow(group, delta, sig, 1)
-        raise ConstraintError(f"Z2n row needs n | 2g+1 or n | 2g; n={n}, g={g} fits neither")
-    if group == "Z2xA4":
-        r = g % 6
-        if r == 5:
-            delta = (g + 1) // 6
-            sig = ("3^8", "3^8") + ("2^12",) * (delta + 1)
-        elif r == 1:
-            delta = (g - 1) // 6
-            sig = ("3^8", "6^4") + ("2^12",) * (delta + 1)
-        elif r == 3:
-            delta = (g - 3) // 6
-            _exclude(delta, (0,), group)
-            sig = ("6^4", "6^4") + ("2^12",) * (delta + 1)
-        else:
-            raise ConstraintError(f"Z2xA4 needs g = 1, 3 or 5 mod 6; got g = {g}")
-        return SignatureRow(group, delta, sig, 7)
-    if group == "SL2(3)":
-        r = g % 6
-        if r == 2:
-            delta = (g - 2) // 6
-            _exclude(delta, (0,), group)
-            sig = ("4^6", "3^8", "3^8") + ("2^12",) * delta
-        elif r == 4:
-            delta = (g - 4) // 6
-            sig = ("4^6", "3^8", "6^4") + ("2^12",) * delta
-        elif r == 0:
-            delta = (g - 6) // 6
-            _exclude(delta, (0,), group)
-            sig = ("4^6", "6^4", "6^4") + ("2^12",) * delta
-        else:
-            raise ConstraintError(f"SL2(3) needs g = 0, 2 or 4 mod 6; got g = {g}")
-        return SignatureRow(group, delta, sig, 1)
-    raise ConstraintError(f"unknown group tag {group!r}; "
-                          "expected Z2xZn, Z2n, Z2xA4 or SL2(3)")
-
-
-def _need_n(n):
-    if n is None:
-        raise ConstraintError("cyclic rows need the cyclic order n")
-    if n < 2:
-        raise ConstraintError(f"cyclic order n must be >= 2, got {n}")
-    return n
-
-
-def _exclude(delta, banned, group):
-    if delta in banned:
-        raise ConstraintError(f"dimension column: delta = {delta} is excluded for {group}")
-    if delta < 0:
-        raise ConstraintError(f"dimension column: delta = {delta} < 0 for {group}")
+    row, delta = group_row(group, g, n)
+    m = None if n is None else 2 * n
+    signature = (tuple(entry.format(n=n, m=m) for entry in row.prefix)
+                 + (row.repeated.format(n=n),) * (delta + 3 - len(row.prefix)))
+    return SignatureRow(group, delta, signature, row.involutions)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .errors import ExactDivisionError, PoleError
-from .scalars import Cyclo
+from .scalars import Cyclo, power
 
 
 class Poly:
@@ -130,16 +130,7 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = Poly((Fraction(1),))
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, exponent, Poly((Fraction(1),)))
 
     def _coerce(self, other):
         if isinstance(other, Poly):

@@ -73,6 +73,19 @@ def rational_root(q, k: int):
     return Fraction(-rn if q < 0 else rn, rd)
 
 
+def power(base, exponent: int, one):
+    """base ** exponent for exponent >= 0 by square-and-multiply, starting from
+    the ring's ``one`` (returned as is for exponent 0)."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class Cyclo:
     """Element c0 + c1*i + c2*sqrt3 + c3*i*sqrt3 with rational coordinates."""
 
@@ -239,16 +252,7 @@ class Cyclo:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Cyclo(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, exponent, Cyclo(1))
 
 
 #: orders of roots of unity representable in Q(i, sqrt3) = Q(zeta_12)

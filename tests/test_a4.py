@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from hyperinv import (BinaryForm, Cyclo, DomainError, GenusError, PoleError,
-                      a4_curve_model, a4_genus_branch, a4_orbit,
+from hyperinv import (BinaryForm, ConstraintError, Cyclo, DomainError,
+                      GenusError, PoleError, a4_curve_model, a4_genus_branch, a4_orbit,
                       a4_orbit_polynomial, build_G, classify_point,
                       covariant_catalogue, g_has_distinct_roots, gl2_act,
-                      klein_phi, locus_parametrization, rational_model)
+                      klein_phi, locus_parametrization, rational_model,
+                      signature_row)
+from hyperinv.cyclic import MAX_GENUS
 
 from conftest import nonzero_fraction
 
@@ -111,9 +113,29 @@ def test_genus_branch_map():
     assert a4_genus_branch(8) == (6, "SL2(3)", 2)
     assert a4_genus_branch(10) == (10, "SL2(3)", 4)
     assert a4_genus_branch(12) == (14, "SL2(3)", 0)
-    for g in (2, 3, 6):
+    for g in (-6, 0, 1, 2, 3, 6, MAX_GENUS + 1):
         with pytest.raises(GenusError):
             a4_genus_branch(g)
+
+
+def test_group_table_readers_agree():
+    """signature_row, a4_genus_branch and a4_curve_model admit the same genera
+    and read the same dimension."""
+    for g in range(-12, 301):
+        group = "Z2xA4" if g % 2 else "SL2(3)"
+        try:
+            row = signature_row(group, g)
+        except ConstraintError:
+            row = None
+        if row is None:
+            with pytest.raises(GenusError):
+                a4_genus_branch(g)
+            continue
+        assert row.delta >= 0
+        assert a4_genus_branch(g) == (2 * g + 2 - 12 * row.delta, group, g % 6)
+        assert len(row.signature) == row.delta + 3
+        if g <= 24:
+            assert a4_curve_model(g, [Fraction(3)] * row.delta).degree == 2 * g + 2
 
 
 def test_rational_model_examples():

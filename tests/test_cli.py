@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperinv.cli import main
+from hyperinv.cli import COMMANDS, main
 
 
 def run_cli(tmp_path, payload, *args):
@@ -304,6 +304,17 @@ def test_unreadable_input_and_unwritable_output_exit_2(tmp_path):
     assert (code, out) == (2, "") and err.startswith("cannot write output")
 
 
+@pytest.mark.parametrize("payload", [
+    {"group": "SL2(3)", "genus": -2},
+    {"group": "Z2n", "genus": 1, "n": 3},
+    {"group": "Z2xZn", "genus": 10 ** 18, "n": 2},
+])
+def test_genus_outside_the_group_table_is_a_domain_error(payload):
+    code, out, _ = call_main({"command": "catalogue", "payload": payload})
+    assert code == 1
+    assert json.loads(out)["error"]["name"] == "ConstraintError"
+
+
 def test_cyclic_order_below_two_is_a_domain_error():
     for n in (-1, 0, 1):
         code, out, _ = call_main({"command": "catalogue",
@@ -386,13 +397,11 @@ def mutated_requests(draw):
         if container is not holder and draw(st.booleans()):
             del container[key]
         else:
-            container[key] = draw(st.sampled_from(_SWAPS))
+            container[key] = copy.deepcopy(draw(st.sampled_from(_SWAPS)))
     return holder[0]
 
 
-@settings(max_examples=400)
-@given(mutated_requests(), st.booleans())
-def test_fuzzed_requests_keep_the_cli_contract(request_, batch):
+def _assert_cli_contract(request_, batch):
     code, out, err = call_main([request_] if batch else request_, *["--batch"] * batch)
     assert code in (0, 1, 2)
     if code == 2 and not batch:
@@ -402,3 +411,30 @@ def test_fuzzed_requests_keep_the_cli_contract(request_, batch):
         report, = reports if batch else [reports]
         assert {"ok": 0, "error": 1, "invalid": 2}[report["status"]] == code
         assert err == ""
+
+
+@settings(max_examples=400)
+@given(mutated_requests(), st.booleans())
+def test_fuzzed_requests_keep_the_cli_contract(request_, batch):
+    _assert_cli_contract(request_, batch)
+
+
+_BIG = st.integers(-10 ** 18, 10 ** 18)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _BIG | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+_FREE_FORM = (
+    _JSON
+    | st.fixed_dictionaries({"command": st.sampled_from(COMMANDS) | st.text(max_size=6),
+                             "payload": _JSON})
+    | st.fixed_dictionaries({"command": st.just("catalogue"), "payload": st.fixed_dictionaries(
+        {"group": st.sampled_from(["Z2xZn", "Z2n", "Z2xA4", "SL2(3)", "Q8"]), "genus": _BIG},
+        optional={"n": _BIG | _JSON})}))
+
+
+@settings(max_examples=200)
+@given(_FREE_FORM, st.booleans())
+def test_free_form_json_keeps_the_cli_contract(request_, batch):
+    _assert_cli_contract(request_, batch)

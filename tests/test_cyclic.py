@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hyperinv import (BinaryForm, ConstraintError, Cyclo, DihedralInvariants,
                       h_action, make_normal_form, normal_form_polynomial,
                       reconstruct_from_u, roots_of_unity,
                       signature_row, tau1, tau2)
+from hyperinv.cyclic import MAX_GENUS
 
 from conftest import nonzero_fraction, rationals
 
@@ -280,3 +282,24 @@ def test_signature_row_constraints():
         for n in (-1, 0, 1):                  # no cyclic order below 2
             with pytest.raises(ConstraintError):
                 signature_row(group, 5, n=n)
+    for group, g, n in (("Z2n", -2, 3), ("Z2n", 1, 3), ("Z2xA4", -1, None),
+                        ("Z2xA4", 1, None), ("SL2(3)", -2, None)):   # genus below 2
+        with pytest.raises(ConstraintError):
+            signature_row(group, g, n=n)
+
+
+def test_signature_row_genus_is_bounded_before_anything_is_built():
+    assert signature_row("Z2xZn", MAX_GENUS, n=2).delta == MAX_GENUS
+    with pytest.raises(ConstraintError):
+        signature_row("Z2xZn", MAX_GENUS + 1, n=2)
+    tracemalloc.start()
+    try:
+        for group in ("Z2xZn", "Z2n", "Z2xA4", "SL2(3)"):
+            # 10^9 and 10^18 are 4 mod 6; the + 1 lands in a Z2xA4 row
+            for g in (10 ** 9, 10 ** 9 + 1, 10 ** 18, 10 ** 18 + 1):
+                tracemalloc.reset_peak()
+                with pytest.raises(ConstraintError):
+                    signature_row(group, g, n=2)
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperinv import (ConstraintError, Cyclo, ExactDivisionError, InputError,
-                      rational_from_str, rational_to_str, root_of_unity,
+                      Poly, rational_from_str, rational_to_str, root_of_unity,
                       roots_of_unity)
 
 from conftest import rationals
@@ -98,6 +98,13 @@ def test_powers():
     assert zeta ** 12 == 1
     assert zeta ** -1 == zeta ** 11
     assert Cyclo(2) ** 0 == 1
+    assert repr(Cyclo(0, 3) ** 0) == repr(Cyclo(1))
+    assert repr(Poly([2, 1]) ** 0) == "Poly([Fraction(1, 1)])"
+    for x in (Cyclo(Fraction(1, 2), 1, 0, -2), Poly([2, 1])):
+        acc = x
+        for k in range(1, 10):
+            assert x ** k == acc
+            acc = acc * x
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 12])
