@@ -8,20 +8,38 @@ Walks one orbit of the machinery:
   4. compute dihedral invariants of a genus-5 normal form and reconstruct it.
 
 Usage: python scripts/classify_curve.py [mu]   (default mu = 7/2)
+
+mu is "p" or "p/q", as in the CLI.  A malformed argument exits 2 and a
+domain error (a zero denominator at this mu, say) exits 1, each with one line
+on stderr.
 """
 
 import sys
 from fractions import Fraction
 
-from hyperinv import (classify_point, covariant_catalogue,
+from hyperinv import (DomainError, InputError, classify_point, covariant_catalogue,
                       dihedral_invariants, extra_involution_condition,
-                      make_normal_form, rational_model, rational_to_str,
-                      reconstruct_from_u, recover_mu, vanishing_profile)
+                      make_normal_form, rational_from_str, rational_model,
+                      rational_to_str, reconstruct_from_u, recover_mu,
+                      vanishing_profile)
 
 
 def main(argv):
-    mu = Fraction(argv[0]) if argv else Fraction(7, 2)
+    try:
+        if len(argv) > 1:
+            raise InputError(f"expected at most one argument mu, got {len(argv)}")
+        mu = rational_from_str(argv[0]) if argv else Fraction(7, 2)
+    except InputError as exc:
+        print(f"malformed argument: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _demo(mu)
+    except DomainError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
+
+def _demo(mu):
     print(f"== genus-9 model at mu = {mu}")
     F = rational_model(9, mu)
     inv = covariant_catalogue(F)

@@ -9,20 +9,41 @@ passes, with four documented recomputed-differs statuses: the transcription
 statuses of genera 7, 9 and 12, and the genus-9 special value.
 
 Usage: python scripts/verify_locus_table.py [genus ...]
+
+Each genus is a plain integer.  A malformed argument exits 2 and a genus the
+table does not cover exits 1, each with one line on stderr.
 """
 
 import sys
 import time
+from contextlib import suppress
 
-from hyperinv import LOCUS_GENERA, verify_genus
+from hyperinv import (LOCUS_GENERA, DomainError, InputError, rational_from_str,
+                      verify_genus)
+
+
+def _genus(text):
+    """A plain integer "g": the CLI's rational syntax without "/q"."""
+    if "/" not in text:
+        with suppress(InputError):
+            return int(rational_from_str(text))
+    raise InputError(f"expected a genus as a plain integer, got {text!r}")
 
 
 def main(argv):
-    genera = [int(a) for a in argv] or list(LOCUS_GENERA)
+    try:
+        genera = [_genus(a) for a in argv] or list(LOCUS_GENERA)
+    except InputError as exc:
+        print(f"malformed argument: {exc}", file=sys.stderr)
+        return 2
     overall = True
     for g in genera:
         t0 = time.monotonic()
-        checks = verify_genus(g)
+        try:
+            checks = verify_genus(g)
+        except DomainError as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
         dt = time.monotonic() - t0
         print(f"genus {g}  [{dt:.2f}s]")
         for check in checks:

@@ -34,13 +34,13 @@ v4 is used).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 from .errors import GenusError, UndefinedInvariantError, UnsupportedDegreeError
 from .forms import BinaryForm, Covariant, transvect
 from .polynomials import Poly, RatFunc
+from .record import Record
 
 INVARIANT_KEYS = ("I2", "I3", "I4", "I4p", "I6", "I6p", "I6star_ast", "I12",
                   "I6star", "I12ast")
@@ -108,8 +108,7 @@ class _Evaluator:
         return None if cov is None else cov.constant_value()
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(Record):
     """Named exact invariants of one form; None marks entries undefined at this degree."""
 
     degree: int
@@ -167,8 +166,7 @@ ABSOLUTE_RECIPE = {
 }
 
 
-@dataclass(frozen=True)
-class AbsoluteInvariants:
+class AbsoluteInvariants(Record):
     """Weight-zero ratios; None entries carry a reason in ``reasons``.
 
     v5 = I_6^star/I_12^ast is the one catalogue ratio that is NOT
@@ -188,9 +186,13 @@ class AbsoluteInvariants:
     v3: object = None
     v4: object = None
     v5: object = None
-    reasons: dict = field(default_factory=dict)
+    reasons: dict = None    # name -> why it is None; a fresh {} when not given
 
     ABSOLUTE_KEYS = tuple(ABSOLUTE_RECIPE)
+
+    def __post_init__(self):
+        if self.reasons is None:
+            object.__setattr__(self, "reasons", {})
 
     def defined(self, name: str) -> bool:
         return getattr(self, name) is not None
@@ -245,8 +247,7 @@ def absolute_invariants(source) -> AbsoluteInvariants:
     return AbsoluteInvariants(degree=inv.degree, reasons=reasons, **vals)
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Record):
     """Classifier output: a 1- or 2-tuple of exact scalars plus its branch tag."""
 
     genus: int

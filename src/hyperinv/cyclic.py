@@ -21,17 +21,15 @@ up to the 2t-element fiber of the H-action.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ConstraintError, ReconstructionError
 from .forms import BinaryForm
+from .record import Record
 from .scalars import Cyclo, canonical_order, rational_root
 
 
-@dataclass(frozen=True)
-class CyclicNormalForm:
+class CyclicNormalForm(Record):
     case: int
     n: int
     genus: int
@@ -86,8 +84,7 @@ def normal_form_polynomial(nf: CyclicNormalForm) -> BinaryForm:
     return BinaryForm.from_univariate(poly, 2 * nf.genus + 2)
 
 
-@dataclass(frozen=True)
-class DihedralInvariants:
+class DihedralInvariants(Record):
     values: tuple
 
     @property
@@ -310,7 +307,7 @@ def _verify_roundtrip(nf, values):
 MAX_GENUS = 10_000
 
 
-class GroupRow(NamedTuple):
+class GroupRow(Record):
     """One row of ``GROUP_ROWS``."""
     c: int | None          # A4 rows: delta = (g - c)/6; None on cyclic rows, where delta = t - 1
     prefix: tuple          # signature entries before the repeated one
@@ -379,8 +376,7 @@ def _first_case(cases, n, g):
     return cases[-1], _case_t(cases[-1], n, g)
 
 
-@dataclass(frozen=True)
-class SignatureRow:
+class SignatureRow(Record):
     group: str
     delta: int
     signature: tuple

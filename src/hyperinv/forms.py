@@ -20,12 +20,12 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
 from .errors import SingularMatrixError, TransvectionError
 from .polynomials import Poly
+from .record import Record
 from .scalars import Cyclo
 
 
@@ -45,6 +45,9 @@ class BinaryForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryForm is immutable")
+
+    def __reduce__(self):
+        return BinaryForm, (self.degree, self.coeffs)
 
     @classmethod
     def from_univariate(cls, coeffs, degree: int | None = None) -> "BinaryForm":
@@ -133,8 +136,7 @@ class BinaryForm:
                      for i, c in enumerate(self.coeffs))
 
 
-@dataclass(frozen=True)
-class Covariant:
+class Covariant(Record):
     """A form tagged with degree in the coefficients, order, and index."""
 
     form: BinaryForm

@@ -12,7 +12,6 @@ verification driver re-establishes that correspondence symbolically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from importlib import resources
@@ -24,14 +23,14 @@ from .catalogue import (CLASSIFIER_BRANCHES, SUPPORTED_GENERA, ModuliPoint,
 from .errors import (DomainError, GenusError, InputError, OffLocusError,
                      PoleError, RecoveryError)
 from .polynomials import Poly, RatFunc, _clear_to_int, poly_divides, poly_gcd
+from .record import Record
 from .scalars import canonical_order, rational_from_str, rational_root
 from .serialize import field
 
 LOCUS_GENERA = SUPPORTED_GENERA
 
 
-@dataclass(frozen=True)
-class CubicConstraint:
+class CubicConstraint(Record):
     """Degenerate-branch result: the moduli value satisfies relation(p) = 0
     whenever parameter_poly(mu) = 0 (no closed rational value exists)."""
 
@@ -41,8 +40,7 @@ class CubicConstraint:
     relation: Poly
 
 
-@dataclass(frozen=True)
-class SpecialValue:
+class SpecialValue(Record):
     mu: Fraction
     published: Fraction
     recomputed: Fraction | None
@@ -51,8 +49,7 @@ class SpecialValue:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class LocusEntry:
+class LocusEntry(Record):
     genus: int
     kind: str                      # "constant" | "pair"
     status: str
@@ -69,8 +66,7 @@ class LocusEntry:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class LocusTable:
+class LocusTable(Record):
     version: str
     entries: dict
 

@@ -32,6 +32,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
+
     @classmethod
     def constant(cls, c) -> "Poly":
         return cls((c,))
@@ -293,6 +296,9 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
 
     @classmethod
     def from_scalar(cls, q) -> "RatFunc":

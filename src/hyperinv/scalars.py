@@ -100,6 +100,9 @@ class Cyclo:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Cyclo is immutable")
 
+    def __reduce__(self):
+        return Cyclo, (self.c0, self.c1, self.c2, self.c3)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
