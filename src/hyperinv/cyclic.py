@@ -103,13 +103,10 @@ class DihedralInvariants(Record):
 
 def dihedral_invariants(nf: CyclicNormalForm) -> DihedralInvariants:
     """u_i = a_1^(t-i) a_i + a_delta^(t-i) a_(t-i)."""
-    a = nf.coeffs
-    t, delta = nf.t, nf.delta
-    a1, ad = a[0], a[delta - 1]
-    out = []
-    for i in range(1, delta + 1):
-        out.append(a1 ** (t - i) * a[i - 1] + ad ** (t - i) * a[t - i - 1])
-    return DihedralInvariants(tuple(out))
+    a, t, delta = nf.coeffs, nf.t, nf.delta
+    return DihedralInvariants(tuple(
+        a[0] ** (t - i) * a[i - 1] + a[delta - 1] ** (t - i) * a[t - i - 1]
+        for i in range(1, delta + 1)))
 
 
 def tau1(nf: CyclicNormalForm, eps) -> CyclicNormalForm:

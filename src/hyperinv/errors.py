@@ -65,11 +65,7 @@ class OffLocusError(DomainError):
 
 
 class RecoveryError(DomainError):
-    """Parameter recovery failed; ``obstruction`` carries the gcd polynomial."""
-
-    def __init__(self, message: str, obstruction=None):
-        super().__init__(message)
-        self.obstruction = obstruction
+    """Parameter recovery has no finite answer: the fiber is not finite."""
 
 
 class InputError(Exception):

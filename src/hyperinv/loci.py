@@ -15,6 +15,8 @@ import json
 from fractions import Fraction
 from functools import reduce
 from importlib import resources
+from itertools import count
+from math import isqrt
 from operator import add
 
 from .a4 import rational_model
@@ -22,9 +24,10 @@ from .catalogue import (CLASSIFIER_BRANCHES, SUPPORTED_GENERA, ModuliPoint,
                         absolute_invariants, classify_point, vanishing_profile)
 from .errors import (DomainError, GenusError, InputError, OffLocusError,
                      PoleError, RecoveryError)
-from .polynomials import Poly, RatFunc, _clear_to_int, poly_divides, poly_gcd
+from .polynomials import (Poly, RatFunc, _clear_to_int, poly_divides, poly_gcd,
+                          square_free_part)
 from .record import Record
-from .scalars import canonical_order, rational_from_str, rational_root
+from .scalars import canonical_order, rational_from_str
 from .serialize import field
 
 LOCUS_GENERA = SUPPORTED_GENERA
@@ -191,9 +194,10 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
     """All rational parameters mapping to the given moduli point, smallest
     canonical encoding first.
 
-    Computed as rational roots of gcd(num(p1(mu) - p1), num(p2(mu) - p2)),
-    then filtered by exact back-substitution.  A gcd whose rational roots
-    cannot be extracted raises RecoveryError carrying that polynomial.
+    Computed as the rational roots of gcd(num(p1(mu) - p1), num(p2(mu) - p2)),
+    exactly at any degree and coefficient size, then filtered by exact
+    back-substitution.  RecoveryError means only a fiber that is not finite
+    (a component matching its parametrization identically).
     """
     table = table or default_table()
     entry = table.entry(genus)
@@ -219,13 +223,8 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
         raise OffLocusError(
             f"point ({p1}, {p2}) is not on the genus-{genus} locus "
             f"(the two component equations share no root)")
-    candidates = _rational_roots(g)
-    if candidates is None:
-        raise RecoveryError(
-            f"cannot extract rational roots of the degree-{g.degree} fiber polynomial",
-            obstruction=g)
     good = []
-    for mu in candidates:
+    for mu in _rational_roots(g):
         try:
             got = locus_parametrization(genus, mu, table)
         except DomainError:
@@ -240,59 +239,45 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
     return canonical_order(good)
 
 
-def _rational_roots(p: Poly):
-    """All rational roots of p, or None if extraction is out of reach."""
-    roots = set()
-    # strip mu = 0 roots
-    coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0:
-        roots.add(Fraction(0))
-        coeffs.pop(0)
-    p = Poly(coeffs)
-    while p.degree >= 1:
-        if p.degree == 1:
-            roots.add(-p.coeffs[0] / p.coeffs[1])
-            return sorted(roots)
-        if p.degree == 2:
-            c, b, a = p.coeffs
-            s = rational_root(b * b - 4 * a * c, 2)
-            if s is None:
-                return sorted(roots)
-            roots.add((-b + s) / (2 * a))
-            roots.add((-b - s) / (2 * a))
-            return sorted(roots)
-        # higher degree: divisor search on the primitive integer form
-        ints = _clear_to_int(p)
-        if abs(ints[0]) > 10**12 or abs(ints[-1]) > 10**12:
-            return None
-        found = None
-        for num in _divisors(abs(ints[0])):
-            for den in _divisors(abs(ints[-1])):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if p(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
+def _rational_roots(p: Poly) -> list:
+    """All rational roots of p, ascending, by q-adic Newton lifting (Loos,
+    SIAM J. Comput. 1983), for any degree and coefficient size.
+
+    Let f = a_n x^n + ... + a_0 be the primitive integer square-free part of
+    p.  A rational root x of f has a denominator dividing a_n, so x is a
+    q-adic integer for every prime q not dividing a_n, and y = a_n x is an
+    integer with |y| <= sum |a_i| (Cauchy).  At the least such q where f' is
+    nonzero at every root of f mod q, each of those roots lifts to exactly
+    one q-adic root of f; lift it until q^k > 2 sum |a_i|, read y as the
+    symmetric residue, and keep y / a_n where p vanishes exactly.
+    """
+    f = _clear_to_int(square_free_part(p))
+    df = [i * c for i, c in enumerate(f) if i]
+    lead, bound = f[-1], 2 * sum(map(abs, f))
+    for q in (k for k in count(2) if all(k % d for d in range(2, isqrt(k) + 1))):
+        if lead % q:
+            residues = [r for r in range(q) if _eval_mod(f, r, q) == 0]
+            if all(_eval_mod(df, r, q) for r in residues):
                 break
-        if found is None:
-            return sorted(roots)
-        roots.add(found)
-        p = p // Poly((-found, Fraction(1)))
+    roots = []
+    for r in residues:
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        y = lead * r % m
+        x = Fraction(y - m if 2 * y > m else y, lead)
+        if p(x) == 0:
+            roots.append(x)
     return sorted(roots)
 
 
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _eval_mod(coeffs, x, m):
+    """The integer polynomial with these coefficients (lowest first) at x, mod m."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
 
 # -- the genus-5 locus equation ----------------------------------------------
@@ -349,7 +334,7 @@ def genus5_singular_point_analysis(table: LocusTable | None = None) -> dict:
     p1, p2 = entry.p1, entry.p2
     d1, d2 = _l5_sum(_L5_D1, p1, p2), _l5_sum(_L5_D2, p1, p2)
     g = poly_gcd(d1.num, d2.num)
-    radical = g // poly_gcd(g, g.derivative()) if g.degree > 0 else g
+    radical = square_free_part(g)
     target2 = p2 - Fraction(1, 84)
     return {
         "gcd_degree": g.degree,

@@ -205,8 +205,8 @@ def _clear_to_int(p: Poly):
     """Primitive integer coefficient list of a Fraction-coefficient poly."""
     den = 1
     for c in p.coeffs:
-        den = _int_lcm(den, Fraction(c).denominator)
-    return _int_primitive([int(Fraction(c) * den) for c in p.coeffs])
+        den = _int_lcm(den, c.denominator)
+    return _int_primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
 def _int_primitive(ints):
@@ -258,6 +258,12 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
                 r.pop()
         a, b = b, _int_primitive(r)
     return Poly([Fraction(c) for c in a]).monic()
+
+
+def square_free_part(p: Poly) -> Poly:
+    """p // gcd(p, p'): the same roots, each simple, and p's leading
+    coefficient (a nonzero constant is its own square-free part)."""
+    return p // poly_gcd(p, p.derivative())
 
 
 def poly_divides(d: Poly, p: Poly) -> bool:

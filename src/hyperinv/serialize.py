@@ -97,16 +97,13 @@ def form_from_json(obj) -> tuple[BinaryForm, int | None]:
     return form, genus
 
 
-def invariant_set_to_json(inv: InvariantSet) -> dict:
+def invariant_set_to_json(inv: InvariantSet | AbsoluteInvariants) -> dict:
+    """A record of named invariants as an object; an undefined one is null."""
     return {k: (scalar_to_json(v) if v is not None else None)
             for k, v in inv.as_dict().items()}
 
 
-def absolute_to_json(absinv: AbsoluteInvariants) -> dict:
-    out = {}
-    for k, v in absinv.as_dict().items():
-        out[k] = scalar_to_json(v) if v is not None else None
-    return out
+absolute_to_json = invariant_set_to_json
 
 
 def moduli_point_to_json(point: ModuliPoint) -> dict:

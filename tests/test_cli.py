@@ -77,6 +77,12 @@ def test_dihedral_example_curve(tmp_path):
     code, report = run_cli(tmp_path, req)
     assert code == 0
     assert report["result"]["u"] == ["2", "-66", "-4", "-66", "2"]
+    # delta = 0 normal forms have no coefficient and no invariant
+    for case, n in ((1, 6), (2, 5)):
+        req = {"command": "dihedral",
+               "payload": {"case": case, "n": n, "genus": 2, "coeffs": []}}
+        code, report = run_cli(tmp_path, req)
+        assert (code, report["status"], report["result"]) == (0, "ok", {"u": []})
 
 
 def test_invariants_rejects_odd_degree(tmp_path):
@@ -152,6 +158,29 @@ def test_recover_round_trip_via_cli(tmp_path):
                                       "payload": {"genus": 9, "p": p}})
     assert code == 0
     assert report["result"]["mu"] == "7/2"
+
+
+def test_recover_extracts_roots_of_any_height(tmp_path):
+    # a genus-9 table whose fiber over (0, 0) is c(mu), a cubic with roots
+    # of height above 10^13
+    from hyperinv import Poly
+    mu = Poly.x()
+    roots = (Fraction(5), Fraction(10 ** 13 + 7), Fraction(-3, 10 ** 13))
+    c = (mu - roots[0]) * (mu - roots[1]) * (mu - roots[2])
+
+    def mutate(raw):
+        raw["genera"]["9"].update(
+            p1={"num": [str(v) for v in c.coeffs], "den": ["1"]},
+            p2={"num": [str(v) for v in (mu * c).coeffs], "den": ["1"]},
+            special_values=[])
+
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_fixture_with(mutate)))
+    code, report = run_cli(tmp_path, {"command": "recover",
+                                      "payload": {"genus": 9, "p": ["0", "0"]}},
+                           "--fixture", str(path))
+    assert code == 0, report
+    assert sorted(map(Fraction, report["result"]["all"])) == sorted(roots)
 
 
 def test_catalogue_command(tmp_path):

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from hyperinv import (DomainError, GenusError,
-                      OffLocusError, PoleError, classify_point, default_table,
+                      OffLocusError, PoleError, Poly, classify_point, default_table,
                       genus5_locus_is_singular, genus5_locus_residual,
                       genus5_singular_point_analysis, load_locus_table,
                       locus_parametrization, rational_model, ratfunc_eval,
@@ -99,6 +100,47 @@ def test_recover_mu_round_trip_basic():
     assert recover_mu(9, point) == [Fraction(3)]
     point5 = locus_parametrization(5, Fraction(-7, 3))
     assert recover_mu(5, point5) == [Fraction(-7, 3)]
+
+
+def _linear(root):
+    """den * x - num, the primitive integer linear factor with that root."""
+    return Poly((Fraction(-root.numerator), Fraction(root.denominator)))
+
+
+def test_rational_roots_of_constructed_products():
+    # roots of height up to 10^20 with multiplicity up to 3, times quadratics
+    # with no rational root, scaled by a rational: exactly the roots come back
+    from hyperinv.loci import _rational_roots
+    rng = random.Random(8)
+    for _ in range(60):
+        roots = set()
+        p = Poly((Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9)),))
+        for _ in range(rng.randint(0, 4)):
+            h = 10 ** rng.randint(1, 20)
+            root = Fraction(rng.randint(-h, h), rng.randint(1, h))
+            roots.add(root)
+            p = p * _linear(root) ** rng.randint(1, 3)
+        for _ in range(rng.randint(0, 2)):
+            p = p * Poly((Fraction(rng.randint(1, 10 ** 8)), Fraction(0),
+                          Fraction(rng.randint(1, 10 ** 8))))
+        assert _rational_roots(p) == sorted(roots), p
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from hyperinv.loci import _rational_roots
+    x = sympy.Symbol("x")
+    rng = random.Random(9)
+    for _ in range(60):
+        p = Poly([Fraction(rng.randint(-10 ** 15, 10 ** 15)) for _ in range(rng.randint(1, 4))]
+                 + [Fraction(rng.randint(1, 10 ** 15))])
+        for _ in range(rng.randint(0, 6 - p.degree)):
+            p = p * _linear(Fraction(rng.randint(-10 ** 8, 10 ** 8), rng.randint(1, 10 ** 8)))
+        expr = sum(int(c) * x ** i for i, c in enumerate(p.coeffs))
+        expected = sorted(Fraction(int(-factor.coeff(x, 0)), int(factor.coeff(x, 1)))
+                          for factor, _ in sympy.factor_list(expr)[1]
+                          if sympy.degree(factor, x) == 1)
+        assert _rational_roots(p) == expected, p
 
 
 def test_recover_mu_off_locus():

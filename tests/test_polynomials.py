@@ -52,6 +52,12 @@ def test_gcd_inexact_pseudo_remainder_raises_typed_error(monkeypatch):
         poly_gcd(MU ** 2 + 1, 2 * MU + 1)
 
 
+def test_square_free_part():
+    p = 3 * (MU - 1) ** 3 * (2 * MU + 1) ** 2 * (MU ** 2 + 1)
+    assert polynomials.square_free_part(p) == 12 * (MU - 1) * (MU + Fraction(1, 2)) * (MU ** 2 + 1)
+    assert polynomials.square_free_part(Poly((Fraction(5),))) == Poly((Fraction(5),))
+
+
 def test_int_leading_coefficients():
     p = Poly((1, 2))                                    # 2x + 1
     assert p.monic() == Poly((Fraction(1, 2), 1))
