@@ -166,6 +166,11 @@ def a4_genus_branch(g: int):
 
 # -- rational models ---------------------------------------------------------
 
+#: genera whose rational model has the factor M(mu); M(0) = 1 makes the
+#: model a monomial there, so mu = 0 gives no curve
+M_FACTOR_GENERA = (5, 8, 9, 12)
+
+
 def _m_coefficients(mu):
     """mu^3 X^12 - mu^3 X^10 - 33 mu^2 X^8 + 2 mu^2 X^6 - 33 mu X^4 - mu X^2 + 1."""
     zero = mu * 0

@@ -166,7 +166,8 @@ def _square_roots_in_field(q: Fraction):
 
 
 def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
-    """One normal form in the H-orbit determined by nonzero dihedral invariants.
+    """One normal form in the H-orbit determined by nonzero dihedral invariants
+    (or the unique one of a delta = 0 row, for u = ()).
 
     a_delta^t satisfies 2^t z^2 - 2^t u_1 z + u_delta^t = 0; interior pairs
     (a_i, a_(t-i)) come from 2x2 linear systems with determinant
@@ -180,6 +181,8 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
     delta = t - 1
     if len(values) != delta:
         raise ConstraintError(f"expected {delta} invariants for case {case}, n={n}, g={g}; got {len(values)}")
+    if not values:      # delta = 0: the normal form has no coefficient
+        return make_normal_form(case, n, g, ())
     if not all(isinstance(v, (int, Fraction)) for v in values):
         raise ConstraintError("reconstruction works from rational invariants")
     if all(v == 0 for v in values):

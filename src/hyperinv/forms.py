@@ -25,11 +25,11 @@ from math import comb, factorial, perm
 
 from .errors import SingularMatrixError, TransvectionError
 from .polynomials import Poly
-from .record import Record
+from .record import ExactRing, Record
 from .scalars import Cyclo
 
 
-class BinaryForm:
+class BinaryForm(ExactRing):
     """Homogeneous bivariate polynomial of fixed degree."""
 
     __slots__ = ("degree", "coeffs")
@@ -42,12 +42,6 @@ class BinaryForm:
             raise ValueError(f"degree-{degree} form needs {degree + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryForm is immutable")
-
-    def __reduce__(self):
-        return BinaryForm, (self.degree, self.coeffs)
 
     @classmethod
     def from_univariate(cls, coeffs, degree: int | None = None) -> "BinaryForm":
@@ -98,11 +92,6 @@ class BinaryForm:
 
     def __neg__(self):
         return BinaryForm(self.degree, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):

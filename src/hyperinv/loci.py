@@ -19,7 +19,7 @@ from itertools import count
 from math import isqrt
 from operator import add
 
-from .a4 import rational_model
+from .a4 import M_FACTOR_GENERA, rational_model
 from .catalogue import (CLASSIFIER_BRANCHES, SUPPORTED_GENERA, ModuliPoint,
                         absolute_invariants, classify_point, vanishing_profile)
 from .errors import (DomainError, GenusError, InputError, OffLocusError,
@@ -158,12 +158,16 @@ def locus_parametrization(genus: int, mu, table: LocusTable | None = None):
     branch.  Special parameter values (poles of the generic branch) return
     the recorded special value; the recomputed one is used where the
     published value could not be reproduced (status on the table entry).
+    mu = 0 raises DomainError where the model is no curve (``M_FACTOR_GENERA``).
     """
     table = table or default_table()
     entry = table.entry(genus)
     if entry.kind == "constant":
         return ModuliPoint(genus=genus, case_tag=f"g={genus}", values=(entry.value,))
     mu = Fraction(mu)
+    if mu == 0 and genus in M_FACTOR_GENERA:
+        raise DomainError(f"mu = 0 gives no genus-{genus} curve: the model's factor "
+                          "M(mu) is the constant 1 there")
     for sv in entry.special_values:
         if sv.mu == mu:
             value = sv.recomputed if sv.recomputed is not None else sv.published

@@ -15,10 +15,11 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .errors import ExactDivisionError, PoleError
+from .record import ExactField, ExactRing
 from .scalars import Cyclo, power
 
 
-class Poly:
+class Poly(ExactRing):
     """Coefficients lowest degree first; the zero polynomial stores ()."""
 
     __slots__ = ("coeffs",)
@@ -29,15 +30,11 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return Poly, (self.coeffs,)
-
     @classmethod
     def constant(cls, c) -> "Poly":
         return cls((c,))
+
+    _lifts, _lift = (int, Fraction, Cyclo), constant
 
     @classmethod
     def x(cls) -> "Poly":
@@ -64,11 +61,10 @@ class Poly:
         return not self.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return self.coeffs == Poly((other,)).coeffs
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         if not self.coeffs:
@@ -99,18 +95,6 @@ class Poly:
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
@@ -135,13 +119,6 @@ class Poly:
             return NotImplemented
         return power(self, exponent, Poly((Fraction(1),)))
 
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return Poly((other,))
-        return None
-
     # -- evaluation, calculus ------------------------------------------------
 
     def __call__(self, x):
@@ -164,10 +141,9 @@ class Poly:
         return self * _inverse(lead)
 
     def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         if other.is_zero:
             raise ExactDivisionError("polynomial division by zero")
         inv = _inverse(other.leading)
@@ -273,10 +249,11 @@ def poly_divides(d: Poly, p: Poly) -> bool:
     return (p % d).is_zero
 
 
-class RatFunc:
+class RatFunc(ExactField):
     """Rational function num/den over Q in canonical form (den monic, coprime)."""
 
     __slots__ = ("num", "den")
+    _lifts = (Poly, int, Fraction)
 
     def __init__(self, num, den=None):
         if not isinstance(num, Poly):
@@ -300,12 +277,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    def __reduce__(self):
-        return RatFunc, (self.num, self.den)
-
     @classmethod
     def from_scalar(cls, q) -> "RatFunc":
         return cls(Poly((Fraction(q),)))
@@ -318,11 +289,8 @@ class RatFunc:
         return not self.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_scalar(other)
-        if isinstance(other, Poly):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -347,18 +315,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -367,19 +323,10 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
+    def inverse(self) -> "RatFunc":
+        if self.is_zero:
             raise ExactDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return RatFunc(self.den, self.num)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -389,16 +336,6 @@ class RatFunc:
                 raise ExactDivisionError("negative power of zero")
             return RatFunc(self.den ** (-exponent), self.num ** (-exponent))
         return RatFunc(self.num ** exponent, self.den ** exponent)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Poly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.from_scalar(other)
-        return None
 
     def eval(self, x: Fraction) -> Fraction:
         """Exact evaluation; raises PoleError at zeros of the denominator."""

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import ConstraintError, ExactDivisionError, InputError
+from .record import ExactField
 
 Rational = Fraction
 
@@ -86,10 +87,11 @@ def power(base, exponent: int, one):
     return result
 
 
-class Cyclo:
+class Cyclo(ExactField):
     """Element c0 + c1*i + c2*sqrt3 + c3*i*sqrt3 with rational coordinates."""
 
     __slots__ = ("c0", "c1", "c2", "c3")
+    _lifts = (int, Fraction)
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
         object.__setattr__(self, "c0", Fraction(c0))
@@ -97,17 +99,7 @@ class Cyclo:
         object.__setattr__(self, "c2", Fraction(c2))
         object.__setattr__(self, "c3", Fraction(c3))
 
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Cyclo is immutable")
-
-    def __reduce__(self):
-        return Cyclo, (self.c0, self.c1, self.c2, self.c3)
-
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> "Cyclo":
-        return cls(Fraction(q))
 
     @classmethod
     def i(cls) -> "Cyclo":
@@ -120,14 +112,6 @@ class Cyclo:
     @classmethod
     def i_sqrt3(cls) -> "Cyclo":
         return cls(0, 0, 0, 1)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Cyclo):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclo(x)
-        return None
 
     # -- structure ---------------------------------------------------------
 
@@ -185,18 +169,6 @@ class Cyclo:
     def __neg__(self):
         return Cyclo(-self.c0, -self.c1, -self.c2, -self.c3)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -237,18 +209,6 @@ class Cyclo:
         w = v.conj_sqrt3()
         n = (v * w).as_rational()
         return u * w * Cyclo(Fraction(1) / n)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

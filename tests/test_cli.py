@@ -85,6 +85,15 @@ def test_dihedral_example_curve(tmp_path):
         assert (code, report["status"], report["result"]) == (0, "ok", {"u": []})
 
 
+def test_reconstruct_answers_delta_zero_rows(tmp_path):
+    # the one normal form of a delta = 0 row is what dihedral's "u": [] names
+    for case, n in ((1, 6), (2, 5), (3, 4)):
+        req = {"command": "reconstruct",
+               "payload": {"u": [], "case": case, "n": n, "genus": 2}}
+        code, report = run_cli(tmp_path, req)
+        assert (code, report["status"], report["result"]["coeffs"]) == (0, "ok", [])
+
+
 def test_invariants_rejects_odd_degree(tmp_path):
     req = {"command": "invariants",
            "payload": {"degree": 5, "ring": "Q",
@@ -148,6 +157,14 @@ def test_model_reconstruct_recover_pipeline(tmp_path):
         "command": "recover", "payload": {"genus": 9, "p": ["1", "1"]}})
     assert code == 1
     assert got["error"]["name"] == "OffLocusError"
+
+
+def test_recover_rejects_mu_zero_where_the_model_is_no_curve(tmp_path):
+    # (1/270, 0) is what the genus-5 table gives at mu = 0, where the model is X^12
+    code, report = run_cli(tmp_path, {"command": "recover",
+                                      "payload": {"genus": 5, "p": ["1/270", "0"]}})
+    assert code == 1
+    assert report["error"]["name"] == "OffLocusError"
 
 
 def test_recover_round_trip_via_cli(tmp_path):

@@ -155,6 +155,16 @@ def test_reconstruct_zero_rejected():
         reconstruct_from_u(DihedralInvariants((0, 0, 0, 0, 0)), 1, 2, 5)
 
 
+@pytest.mark.parametrize("case,n,g", [(1, 6, 2), (2, 5, 2), (3, 4, 2),
+                                      (1, 12, 5), (2, 11, 5), (3, 10, 5)])
+def test_reconstruct_delta_zero_round_trip(case, n, g):
+    # delta = 0: the normal form has no coefficient, so u = () names it uniquely
+    nf = make_normal_form(case, n, g, ())
+    u = dihedral_invariants(nf)
+    assert u.values == ()
+    assert reconstruct_from_u(u, case, n, g) == nf
+
+
 def test_reconstruct_inconsistent_rejected():
     # u1 = u_delta = 0 forces a_1 = a_delta = 0, hence u = 0: anything else is off-locus
     with pytest.raises(ReconstructionError):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperinv import (DomainError, GenusError,
+from hyperinv import (DomainError, GenusError, UndefinedInvariantError,
                       OffLocusError, PoleError, Poly, classify_point, default_table,
                       genus5_locus_is_singular, genus5_locus_residual,
                       genus5_singular_point_analysis, load_locus_table,
@@ -141,6 +141,28 @@ def test_rational_roots_match_sympy():
                           for factor, _ in sympy.factor_list(expr)[1]
                           if sympy.degree(factor, x) == 1)
         assert _rational_roots(p) == expected, p
+
+
+@pytest.mark.parametrize("genus", [5, 8, 9, 12])
+def test_mu_zero_is_no_curve_where_the_model_has_the_factor_m(genus):
+    # M(0) = 1, so the model is a monomial, which the classifier has no branch for
+    assert sum(c != 0 for c in rational_model(genus, 0).coeffs) == 1
+    with pytest.raises(UndefinedInvariantError):
+        classify_point(rational_model(genus, 0), genus)
+    with pytest.raises(DomainError, match="mu = 0"):
+        locus_parametrization(genus, 0)
+    # the point the table's rational functions give at mu = 0 has no curve over it
+    entry = default_table().entry(genus)
+    with pytest.raises(OffLocusError):
+        recover_mu(genus, (entry.p1.eval(0), entry.p2.eval(0)))
+
+
+@pytest.mark.parametrize("genus", [7, 10])
+def test_mu_zero_is_a_curve_at_genus_7_and_10(genus):
+    assert sum(c != 0 for c in rational_model(genus, 0).coeffs) > 1
+    point = locus_parametrization(genus, 0)
+    assert point == classify_point(rational_model(genus, 0), genus)
+    assert recover_mu(genus, point) == [0]
 
 
 def test_recover_mu_off_locus():
