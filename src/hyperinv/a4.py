@@ -13,42 +13,43 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from itertools import zip_longest
 
 from .catalogue import SUPPORTED_GENERA as A4_GENERA
 from .cyclic import group_row
 from .errors import ConstraintError, DomainError, GenusError, PoleError
 from .forms import BinaryForm
-from .polynomials import Poly
+from .polynomials import Poly, convolve
 from .scalars import Cyclo
 
 #: active, adjudicated model variants vs. verbatim published ones
 VARIANTS = ("adjudicated", "display")
 
 
+#: the Klein map N/D, the A4-fixed degree-12 rational map:
+#: N = X^12 - 33X^8 - 33X^4 + 1 and D = X^2 (X^4 - 1)^2 = X^10 - 2X^6 + X^2
+_KLEIN_NUM = Poly((1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1))
+_KLEIN_DEN = Poly((0, 0, 1, 0, 0, 0, -2, 0, 0, 0, 1))
+
+
 def klein_phi(t):
-    """The A4-fixed degree-12 rational map (X^12-33X^8-33X^4+1)/(X^2(X^4-1)^2).
+    """The Klein map N(t)/D(t).
 
     Exact on Fraction or Cyclo inputs; poles exactly at 0, +-1, +-i (and
     infinity, which a scalar argument cannot represent).
     """
     if isinstance(t, int):
         t = Fraction(t)
-    t2 = t * t
-    t4 = t2 * t2
-    den = t2 * (t4 - 1) ** 2
+    den = _KLEIN_DEN(t)
     if den == 0:
         raise PoleError(f"klein_phi has a pole at t = {t}", at=t)
-    num = t4 * t4 * t4 - 33 * t4 * t4 - 33 * t4 + 1
-    return num / den
+    return _KLEIN_NUM(t) / den
 
 
 def g_coefficients(lam):
-    """Univariate coefficients of X^12 - lam X^10 - 33 X^8 + 2 lam X^6 - 33 X^4 - lam X^2 + 1."""
-    zero = lam * 0
-    one = zero + 1
-    return [one, zero, -lam, zero, -33 * one, zero, 2 * lam, zero,
-            -33 * one, zero, -lam, zero, one][::-1]
+    """Univariate coefficients of the fiber polynomial N - lam D, lowest degree first."""
+    return [n - lam * d for n, d in zip_longest(_KLEIN_NUM.coeffs, _KLEIN_DEN.coeffs,
+                                                 fillvalue=0)]
 
 
 def build_G(lam) -> BinaryForm:
@@ -110,18 +111,15 @@ def a4_orbit(t):
 
 def a4_orbit_polynomial(t) -> BinaryForm:
     """Monic product over the orbit; equals build_G(klein_phi(t)) exactly."""
-    points = a4_orbit(t)
-    poly = Poly((Cyclo(1),))
-    for alpha in points:
-        poly = poly * Poly((-alpha, Cyclo(1)))
-    return BinaryForm.from_univariate(list(poly.coeffs), 12)
+    poly = reduce(convolve, [(-alpha, Cyclo(1)) for alpha in a4_orbit(t)])
+    return BinaryForm.from_univariate(poly, 12)
 
 
 # -- models over Q(i, sqrt3) -------------------------------------------------
 
 def _product(*factors):
     """Coefficients of a product of univariate coefficient lists."""
-    return reduce(mul, (BinaryForm(len(f) - 1, f) for f in factors)).coeffs
+    return reduce(convolve, factors)
 
 
 def _a4_row(g: int):

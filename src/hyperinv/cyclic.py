@@ -151,20 +151,6 @@ def extra_involution_condition(u: DihedralInvariants, g: int) -> bool:
 
 # -- reconstruction ---------------------------------------------------------
 
-def _square_roots_in_field(q: Fraction):
-    """Square roots of a rational inside Q(i, sqrt3), if any (as Cyclo)."""
-    r = rational_root(q, 2)
-    if r is not None:
-        return Cyclo(r)
-    for unit_sq, builder in ((Fraction(3), lambda m: Cyclo(0, 0, m, 0)),
-                             (Fraction(-1), lambda m: Cyclo(0, m, 0, 0)),
-                             (Fraction(-3), lambda m: Cyclo(0, 0, 0, m))):
-        m = rational_root(q / unit_sq, 2)
-        if m is not None:
-            return builder(m)
-    return None
-
-
 def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
     """One normal form in the H-orbit determined by nonzero dihedral invariants
     (or the unique one of a delta = 0 row, for u = ()).
@@ -210,13 +196,19 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
     raise failures[-1]
 
 
+#: the squares -1, 3 and -3 of the coordinates i, sqrt3 and i*sqrt3 of Q(i, sqrt3)
+_UNIT_SQUARES = ((-1, Cyclo.i()), (3, Cyclo.sqrt3()), (-3, Cyclo.i_sqrt3()))
+
+
 def _tth_root(z: Fraction, t: int):
     """A t-th root of z in Q, else in Q(i, sqrt3) for t = 2, else None."""
     r = rational_root(z, t)
-    if r is not None:
+    if r is not None or t != 2:
         return r
-    if t == 2:
-        return _square_roots_in_field(z)
+    for square, unit in _UNIT_SQUARES:
+        m = rational_root(z / square, 2)
+        if m is not None:
+            return m * unit
     return None
 
 
@@ -242,12 +234,6 @@ def _solve_from_z(z, values, t, delta, case, n, g):
     coeffs = [None] * delta
     coeffs[0] = a1
     coeffs[delta - 1] = ad
-    if delta == 1:
-        # single coefficient: u_1 = 2 a_1^t must agree
-        nf = CyclicNormalForm(case=case, n=n, genus=g, coeffs=tuple(coeffs))
-        _verify_roundtrip(nf, values)
-        return nf
-
     det = a1 ** t - ad ** t
     for i in range(2, delta // 2 + 2):
         j = t - i  # partner index

@@ -24,9 +24,8 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .errors import SingularMatrixError, TransvectionError
-from .polynomials import Poly
+from .polynomials import convolve
 from .record import ExactRing, Record
-from .scalars import Cyclo
 
 
 class BinaryForm(ExactRing):
@@ -95,15 +94,7 @@ class BinaryForm(ExactRing):
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            out = [0] * (self.degree + other.degree + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b == 0:
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return BinaryForm(self.degree + other.degree, out)
+            return BinaryForm(self.degree + other.degree, convolve(self.coeffs, other.coeffs))
         return BinaryForm(self.degree, tuple(c * other for c in self.coeffs))
 
     def __rmul__(self, other):
@@ -188,28 +179,14 @@ def gl2_act(matrix, form: BinaryForm) -> BinaryForm:
     if a * d - b * c == 0:
         raise SingularMatrixError("coordinate change must be invertible")
     n = form.degree
-    # powers[i] = coefficient list of (aX+bZ)^i (cX+dZ)^(n-i)
     out = [0] * (n + 1)
     for i, coef in enumerate(form.coeffs):
         if coef == 0:
             continue
+        # (aX+bZ)^i and (cX+dZ)^(n-i), whose product coef multiplies
         left = [comb(i, j) * a**j * b**(i - j) for j in range(i + 1)]
         right = [comb(n - i, j) * c**j * d**(n - i - j) for j in range(n - i + 1)]
-        for x, va in enumerate(left):
-            if va == 0:
-                continue
-            for y, vb in enumerate(right):
-                if vb == 0:
-                    continue
-                out[x + y] = out[x + y] + coef * va * vb
+        for k, v in enumerate(convolve(left, right)):
+            if v:
+                out[k] = out[k] + coef * v
     return BinaryForm(n, out)
-
-
-def form_ring(form: BinaryForm) -> str:
-    """Best-effort coefficient-ring tag: "Q", "Qi_sqrt3", or "Q[mu]"."""
-    for c in form.coeffs:
-        if isinstance(c, Poly):
-            return "Q[mu]"
-        if isinstance(c, Cyclo):
-            return "Qi_sqrt3"
-    return "Q"

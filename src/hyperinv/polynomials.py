@@ -1,8 +1,8 @@
 """Dense univariate polynomials over an exact coefficient ring, and rational
 functions over Q.
 
-``Poly`` is generic: coefficients only need exact +, -, *, equality with 0/1,
-and (where a field is required) division.  In this kernel the coefficient
+``Poly`` is generic: coefficients only need exact +, -, *, a truth value,
+equality with 0/1, and (where a field is required) division.  In this kernel the coefficient
 rings are Fraction, Cyclo, and Poly-over-Fraction never nests further.
 
 ``RatFunc`` keeps the canonical form: gcd(num, den) trivial and den monic, so
@@ -17,6 +17,20 @@ from math import gcd as _int_gcd, lcm as _int_lcm
 from .errors import ExactDivisionError, PoleError
 from .record import ExactField, ExactRing
 from .scalars import Cyclo, power
+
+
+def convolve(a, b) -> list:
+    """The coefficient list of the product of two coefficient sequences,
+    lowest degree first.  A zero factor on either side is skipped (by
+    truthiness, which is far cheaper than ``== 0`` on a Cyclo), so a slot that
+    no product reaches stays the int 0."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
 
 
 class Poly(ExactRing):
@@ -97,18 +111,8 @@ class Poly(ExactRing):
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
-        if isinstance(other, (int, Fraction, Cyclo)):
-            if other == 0:
-                return Poly()
+            return Poly(convolve(self.coeffs, other.coeffs))
+        if isinstance(other, self._lifts):
             return Poly(tuple(c * other for c in self.coeffs))
         return NotImplemented
 

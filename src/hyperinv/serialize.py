@@ -15,7 +15,7 @@ from fractions import Fraction
 from .catalogue import AbsoluteInvariants, InvariantSet, ModuliPoint
 from .cyclic import CyclicNormalForm, DihedralInvariants, make_normal_form
 from .errors import InputError
-from .forms import BinaryForm, form_ring
+from .forms import BinaryForm
 from .polynomials import Poly, RatFunc
 from .scalars import Cyclo, rational_from_str, rational_to_str
 
@@ -71,10 +71,21 @@ def scalar_from_json(obj, ring: str):
     raise InputError(f"unknown ring {ring!r}; expected one of {RINGS}")
 
 
+def _ring_tag(coeffs) -> str:
+    """The ring a coefficient list is written in: the first Poly makes it
+    "Q[mu]", the first Cyclo "Qi_sqrt3"; with neither it is "Q"."""
+    for c in coeffs:
+        if isinstance(c, Poly):
+            return "Q[mu]"
+        if isinstance(c, Cyclo):
+            return "Qi_sqrt3"
+    return "Q"
+
+
 def form_to_json(form: BinaryForm, genus: int | None = None) -> dict:
     out = {
         "degree": form.degree,
-        "ring": form_ring(form),
+        "ring": _ring_tag(form.coeffs),
         "coeffs": [scalar_to_json(c) for c in form.coeffs],
     }
     if genus is not None:
@@ -115,12 +126,11 @@ def moduli_point_to_json(point: ModuliPoint) -> dict:
 
 
 def normal_form_to_json(nf: CyclicNormalForm) -> dict:
-    ring = "Qi_sqrt3" if any(isinstance(c, Cyclo) for c in nf.coeffs) else "Q"
     return {
         "case": nf.case,
         "n": nf.n,
         "genus": nf.genus,
-        "ring": ring,
+        "ring": _ring_tag(nf.coeffs),
         "coeffs": [scalar_to_json(c) for c in nf.coeffs],
     }
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from hyperinv import (BinaryForm, ConstraintError, Cyclo, DomainError,
-                      GenusError, PoleError, a4_curve_model, a4_genus_branch, a4_orbit,
-                      a4_orbit_polynomial, build_G, classify_point,
-                      covariant_catalogue, g_has_distinct_roots, gl2_act,
-                      klein_phi, locus_parametrization, rational_model,
+                      GenusError, PoleError, Poly, RatFunc, a4_curve_model,
+                      a4_genus_branch, a4_orbit, a4_orbit_polynomial, build_G,
+                      classify_point, covariant_catalogue, g_has_distinct_roots,
+                      gl2_act, klein_phi, locus_parametrization, rational_model,
                       signature_row)
+from hyperinv.a4 import g_coefficients
 from hyperinv.cyclic import MAX_GENUS
 
 from conftest import nonzero_fraction
@@ -192,3 +193,30 @@ def test_branch_model_bridge_to_rational_parametrization(genus, lams):
         expected = (entry.p1.num(mu) / entry.p1.den(mu),
                     entry.p2.num(mu) / entry.p2.den(mu))
         assert point.values == expected
+
+
+def test_klein_map_pinned_over_each_ring():
+    assert repr(klein_phi(2)) == "Fraction(-4879, 900)"
+    assert repr(klein_phi(Cyclo(2, 1))) == (
+        "Cyclo(Fraction(0, 1), Fraction(459, 50), Fraction(0, 1), Fraction(0, 1))")
+    mu = Poly.x()
+    # over Q[mu] the value is a RatFunc, whose zero slots follow the product order
+    assert klein_phi(RatFunc(mu)) == RatFunc(
+        mu ** 12 - 33 * mu ** 8 - 33 * mu ** 4 + 1, mu ** 2 * (mu ** 4 - 1) ** 2)
+    for pole in (Fraction(0), Fraction(1), Fraction(-1), Cyclo.i(), -Cyclo.i()):
+        with pytest.raises(PoleError) as err:
+            klein_phi(pole)
+        assert err.value.at == pole
+
+
+def test_fiber_coefficients_pinned_over_each_ring():
+    rational = [Fraction(c) for c in (1, 0, -3, 0, -33, 0, 6, 0, -33, 0, -3, 0, 1)]
+    assert repr(g_coefficients(Fraction(3))) == repr(rational)
+    lam, one, zero, c33 = Cyclo(1, 2), Cyclo(1), Cyclo(0), Cyclo(-33)
+    cyclo = [one, zero, -lam, zero, c33, zero, 2 * lam, zero, c33, zero, -lam, zero, one]
+    assert repr(g_coefficients(lam)) == repr(cyclo)
+    assert repr(g_coefficients(Poly.x())) == (
+        "[Poly([1]), Poly([]), Poly([Fraction(0, 1), Fraction(-1, 1)]), Poly([]), "
+        "Poly([-33]), Poly([]), Poly([Fraction(0, 1), Fraction(2, 1)]), Poly([]), "
+        "Poly([-33]), Poly([]), Poly([Fraction(0, 1), Fraction(-1, 1)]), Poly([]), "
+        "Poly([1])]")

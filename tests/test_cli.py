@@ -484,3 +484,12 @@ _FREE_FORM = (
 @given(_FREE_FORM, st.booleans())
 def test_free_form_json_keeps_the_cli_contract(request_, batch):
     _assert_cli_contract(request_, batch)
+
+
+def test_reconstruct_t2_answers_over_q_i_sqrt3(tmp_path):
+    req = {"command": "reconstruct", "payload": {"u": ["6"], "case": 1, "n": 3, "genus": 2}}
+    code, report = run_cli(tmp_path, req)
+    assert (code, report["result"]["ring"]) == (0, "Qi_sqrt3")
+    assert report["result"]["coeffs"] == [["0", "0", "1", "0"]]
+    code, report = run_cli(tmp_path, {"command": "dihedral", "payload": report["result"]})
+    assert (code, report["result"]) == (0, {"u": [["6", "0", "0", "0"]]})

@@ -313,3 +313,18 @@ def test_signature_row_genus_is_bounded_before_anything_is_built():
                 assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("u,root", [(18, Fraction(3)), (6, Cyclo.sqrt3()),
+                                    (-2, Cyclo.i()), (-6, Cyclo.i_sqrt3())])
+def test_reconstruct_t2_square_roots_in_q_i_sqrt3(u, root):
+    # case 1, n = 3, g = 2 has t = 2: u_1 = 2 a_1^2, so a_1 is a square root of u/2
+    nf = reconstruct_from_u((Fraction(u),), 1, 3, 2)
+    assert repr(nf.coeffs) == repr((root,))
+    assert dihedral_invariants(nf).values == (u,)
+
+
+def test_reconstruct_t2_without_square_root_reports_polynomial():
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct_from_u((Fraction(5),), 1, 3, 2)
+    assert err.value.minimal_polynomial == (Fraction(-5, 2), 0, 1)

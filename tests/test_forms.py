@@ -178,3 +178,8 @@ def test_from_univariate_homogenizes():
     assert f.coeffs == (1, 0, 2, 0, 0)
     with pytest.raises(ValueError):
         BinaryForm.from_univariate([1, 0, 2], 1)
+
+
+def test_gl2_act_pinned_integer_substitution():
+    got = gl2_act(((1, 2), (3, 4)), BinaryForm(3, (1, 0, 0, 2)))
+    assert repr(got) == "BinaryForm(3, [80, 168, 120, 29])"

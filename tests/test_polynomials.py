@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperinv import (Cyclo, ExactDivisionError, PoleError, Poly, RatFunc,
+from hyperinv import (BinaryForm, Cyclo, ExactDivisionError, PoleError, Poly, RatFunc,
                       poly_gcd, ratfunc_eval)
 from hyperinv import polynomials
 
@@ -162,3 +162,36 @@ def test_ratfunc_arithmetic_and_pow():
         RatFunc(MU) / RatFunc.from_scalar(0)
     with pytest.raises(ExactDivisionError):
         RatFunc(MU, Poly())
+
+
+class _ZeroThatRefusesProducts:
+    """A falsy coefficient whose product raises: convolve must never form one."""
+
+    def __bool__(self):
+        return False
+
+    def __mul__(self, other):
+        raise AssertionError("a zero factor was multiplied")
+
+    __rmul__ = __mul__
+
+
+def test_convolve_skips_zero_factors_and_leaves_unreached_slots_int():
+    zero = _ZeroThatRefusesProducts()
+    got = polynomials.convolve((Fraction(1), zero, Fraction(2)), (zero, Fraction(3)))
+    assert repr(got) == "[0, Fraction(3, 1), 0, Fraction(6, 1)]"
+    got = polynomials.convolve((Cyclo(0), Cyclo.i()), (Fraction(0), Cyclo(2)))
+    assert repr(got) == "[0, 0, Cyclo(Fraction(0, 1), Fraction(2, 1), Fraction(0, 1), Fraction(0, 1))]"
+
+
+def test_poly_product_leaves_unreached_slots_int():
+    assert repr(MU * MU) == "Poly([0, 0, Fraction(1, 1)])"
+
+
+def test_poly_product_with_other_types():
+    assert MU * RatFunc(MU) == RatFunc(MU ** 2)
+    assert isinstance(MU * RatFunc(MU), RatFunc)
+    assert MU * BinaryForm(1, (1, 2)) == BinaryForm(1, (MU, 2 * MU))
+    assert isinstance(MU * BinaryForm(1, (1, 2)), BinaryForm)
+    with pytest.raises(TypeError):
+        MU * "a"
