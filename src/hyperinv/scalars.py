@@ -88,7 +88,10 @@ def power(base, exponent: int, one):
 
 
 class Cyclo(ExactField):
-    """Element c0 + c1*i + c2*sqrt3 + c3*i*sqrt3 with rational coordinates."""
+    """Element c0 + c1*i + c2*sqrt3 + c3*i*sqrt3 with rational coordinates.
+
+    An ``int`` or ``Fraction`` factor multiplies the four coordinates
+    directly; it is not lifted to a ``Cyclo`` first."""
 
     __slots__ = ("c0", "c1", "c2", "c3")
     _lifts = (int, Fraction)
@@ -170,6 +173,8 @@ class Cyclo(ExactField):
         return Cyclo(-self.c0, -self.c1, -self.c2, -self.c3)
 
     def __mul__(self, other):
+        if isinstance(other, self._lifts):
+            return Cyclo(self.c0 * other, self.c1 * other, self.c2 * other, self.c3 * other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -208,7 +213,7 @@ class Cyclo(ExactField):
         v = self * u
         w = v.conj_sqrt3()
         n = (v * w).as_rational()
-        return u * w * Cyclo(Fraction(1) / n)
+        return u * w * (1 / n)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -139,3 +140,60 @@ def test_rational_root_inverts_powers(q, k, n):
     assert rational_root(q ** k, k) == (abs(q) if k % 2 == 0 else q)
     if k > 1:  # n^k < n^k + 1 < (n+1)^k
         assert rational_root(n ** k + 1, k) is None
+
+
+_RATIONAL_FACTORS = st.one_of(st.integers(-50, 50), st.sampled_from([0, -1, True, False]),
+                              rationals(), st.just(Fraction(0)))
+
+
+@settings(max_examples=200)
+@given(cyclos(), _RATIONAL_FACTORS)
+def test_rational_factor_scales_coordinates_like_its_lift(a, k):
+    lifted = a * Cyclo(k)
+    for product in (a * k, k * a):
+        assert type(product) is Cyclo
+        assert product == lifted
+        assert repr(product) == repr(lifted)
+        assert hash(product) == hash(lifted)
+
+
+@given(cyclos())
+def test_non_rational_factors_still_raise(a):
+    for left, right in ((a, 1.5), (1.5, a), (a, "2"), ("2", a), (a, None)):
+        with pytest.raises(TypeError):
+            left * right
+
+
+def test_poly_factor_takes_the_poly_path():
+    a = Cyclo(Fraction(1, 2), 1, 0, -2)
+    zero = "Cyclo(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))"
+    expected = f"Poly([{zero}, Cyclo(Fraction(1, 2), Fraction(1, 1), Fraction(0, 1), Fraction(-2, 1))])"
+    assert repr(a * Poly.x()) == expected
+    assert repr(Poly.x() * a) == expected
+
+
+def test_inverse_reprs_are_pinned():
+    rng = random.Random(11)
+    draws = [Cyclo(*(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)))
+             for _ in range(3)]
+    assert [repr(a.inverse()) for a in draws] == [
+        "Cyclo(Fraction(3069200, 36496729), Fraction(-2354500, 36496729), "
+        "Fraction(3555120, 36496729), Fraction(3456200, 36496729))",
+        "Cyclo(Fraction(-23028, 1927445), Fraction(-128064, 1927445), "
+        "Fraction(8336, 385489), Fraction(30288, 385489))",
+        "Cyclo(Fraction(91587200, 813771361), Fraction(4247700, 813771361), "
+        "Fraction(10086080, 813771361), Fraction(20086320, 813771361))",
+    ]
+    assert repr(Cyclo(0, 0, 0, 3).inverse()) == \
+        "Cyclo(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(-1, 9))"
+
+
+@settings(max_examples=100)
+@given(cyclos())
+def test_inverse_matches_the_lifted_formula(a):
+    if not a:
+        return
+    u = a.conj_i()
+    w = (a * u).conj_sqrt3()
+    n = (a * u * w).as_rational()
+    assert repr(a.inverse()) == repr(u * w * Cyclo(1 / n))
