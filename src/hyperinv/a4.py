@@ -2,11 +2,15 @@
 fixed by A4, its fiber polynomials, branch-parameter curve models over
 Q(i, sqrt3), and their rational-coefficient counterparts.
 
-A model note: the published dodecic factor of the genus-7/10 rational models
-fails the required invariant-vanishing profile; the corrected factor (derived
-from the branch-parameter model by the quartic-root coordinate change and
-verified to satisfy the profile identically) is the active one.  The same
-goes for the genus-12 octic factor and is handled by the ``variant`` switch.
+The models are tables multiplied out by one ``_product``: the branch-parameter
+prefactors of ``cyclic.GROUP_ROWS`` and the rational factors of ``_FACTORS``,
+listed per genus in ``_MODEL_ROWS``.  The twelve orbit maps are Möbius
+matrices over Z[i]; their denominators' zeros are the orbit's poles.
+
+The published dodecic (g = 7, 10) and octic (g = 12) factors fail the
+invariant-vanishing profile; the active ones come from the branch-parameter
+models by the quartic-root coordinate change and satisfy it identically.
+``variant="display"`` swaps the published factors back in.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
+from operator import mul
 
 from .catalogue import SUPPORTED_GENERA as A4_GENERA
 from .cyclic import group_row
@@ -24,6 +29,16 @@ from .scalars import Cyclo
 
 #: active, adjudicated model variants vs. verbatim published ones
 VARIANTS = ("adjudicated", "display")
+
+
+def _exact(x):
+    """An int as a Fraction; any other value unchanged."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
+def _product(*factors):
+    """Coefficients of a product of univariate coefficient lists."""
+    return reduce(convolve, factors)
 
 
 #: the Klein map N/D, the A4-fixed degree-12 rational map:
@@ -38,8 +53,7 @@ def klein_phi(t):
     Exact on Fraction or Cyclo inputs; poles exactly at 0, +-1, +-i (and
     infinity, which a scalar argument cannot represent).
     """
-    if isinstance(t, int):
-        t = Fraction(t)
+    t = _exact(t)
     den = _KLEIN_DEN(t)
     if den == 0:
         raise PoleError(f"klein_phi has a pole at t = {t}", at=t)
@@ -54,9 +68,7 @@ def g_coefficients(lam):
 
 def build_G(lam) -> BinaryForm:
     """The degree-12 fiber form with branch parameter lam (scalar or Poly)."""
-    if isinstance(lam, int):
-        lam = Fraction(lam)
-    return BinaryForm.from_univariate(g_coefficients(lam), 12)
+    return BinaryForm.from_univariate(g_coefficients(_exact(lam)), 12)
 
 
 def g_has_distinct_roots(lam) -> bool:
@@ -65,62 +77,53 @@ def g_has_distinct_roots(lam) -> bool:
     return sq != 108 and sq != -108
 
 
+#: the A4 orbit maps t -> (a t + b)/(c t + d), each a matrix (a, b, c, d)
+#: over Z[i] whose entries are written (real part, imaginary part)
 _ORBIT_MAPS = (
-    ("t", lambda t, i: t),
-    ("(t-i)/(t+i)", lambda t, i: (t - i) / (t + i)),
-    ("-i(t+1)/(t-1)", lambda t, i: -i * (t + 1) / (t - 1)),
-    ("(t+i)/(t-i)", lambda t, i: (t + i) / (t - i)),
-    ("-i(t-1)/(t+1)", lambda t, i: -i * (t - 1) / (t + 1)),
-    ("1/t", lambda t, i: 1 / t),
-    ("-t", lambda t, i: -t),
-    ("-(t-i)/(t+i)", lambda t, i: -((t - i) / (t + i))),
-    ("i(t+1)/(t-1)", lambda t, i: i * (t + 1) / (t - 1)),
-    ("-(t+i)/(t-i)", lambda t, i: -((t + i) / (t - i))),
-    ("i(t-1)/(t+1)", lambda t, i: i * (t - 1) / (t + 1)),
-    ("-1/t", lambda t, i: -1 / t),
+    ("t", ((1, 0), (0, 0), (0, 0), (1, 0))),
+    ("(t-i)/(t+i)", ((1, 0), (0, -1), (1, 0), (0, 1))),
+    ("-i(t+1)/(t-1)", ((0, -1), (0, -1), (1, 0), (-1, 0))),
+    ("(t+i)/(t-i)", ((1, 0), (0, 1), (1, 0), (0, -1))),
+    ("-i(t-1)/(t+1)", ((0, -1), (0, 1), (1, 0), (1, 0))),
+    ("1/t", ((0, 0), (1, 0), (1, 0), (0, 0))),
+    ("-t", ((-1, 0), (0, 0), (0, 0), (1, 0))),
+    ("-(t-i)/(t+i)", ((-1, 0), (0, 1), (1, 0), (0, 1))),
+    ("i(t+1)/(t-1)", ((0, 1), (0, 1), (1, 0), (-1, 0))),
+    ("-(t+i)/(t-i)", ((-1, 0), (0, -1), (1, 0), (0, -1))),
+    ("i(t-1)/(t+1)", ((0, 1), (0, -1), (1, 0), (1, 0))),
+    ("-1/t", ((0, 0), (-1, 0), (1, 0), (0, 0))),
 )
 
 
 def a4_orbit(t):
     """The 12-point A4 orbit of t in Q(i, sqrt3).
 
-    Raises DomainError naming the offending transformation at poles, and on
-    collisions (t at a fixed locus where orbit points collide).
+    Raises DomainError naming the first map whose denominator vanishes at t,
+    and on collisions (t at a fixed locus where orbit points collide).
     """
     if isinstance(t, (int, Fraction)):
         t = Cyclo(t)
-    i = Cyclo.i()
-    if t == 0:
-        raise DomainError("orbit undefined: 1/t has a pole at t = 0")
-    for bad, name in ((i, "(t-i)/(t+i)"), (-i, "(t+i)/(t-i)"),
-                      (Cyclo(1), "-i(t+1)/(t-1)"), (Cyclo(-1), "-i(t-1)/(t+1)")):
-        if t == bad:
+    dens = [Cyclo(*c) * t + Cyclo(*d) for _, (_, _, c, d) in _ORBIT_MAPS]
+    for (name, _), den in zip(_ORBIT_MAPS, dens):
+        if den == 0:
             raise DomainError(f"orbit undefined: {name} has a pole at t = {t}")
-    points = []
-    for name, fn in _ORBIT_MAPS:
-        points.append(fn(t, i))
+    points = tuple((Cyclo(*a) * t + Cyclo(*b)) / den
+                   for (_, (a, b, _, _)), den in zip(_ORBIT_MAPS, dens))
     seen = {}
-    for name_val, p in zip(_ORBIT_MAPS, points):
-        key = p.coords
-        if key in seen:
+    for (name, _), p in zip(_ORBIT_MAPS, points):
+        if seen.setdefault(p.coords, name) != name:
             raise DomainError(
-                f"orbit points collide at t = {t}: {seen[key]} and {name_val[0]} agree")
-        seen[key] = name_val[0]
-    return tuple(points)
+                f"orbit points collide at t = {t}: {seen[p.coords]} and {name} agree")
+    return points
 
 
 def a4_orbit_polynomial(t) -> BinaryForm:
     """Monic product over the orbit; equals build_G(klein_phi(t)) exactly."""
-    poly = reduce(convolve, [(-alpha, Cyclo(1)) for alpha in a4_orbit(t)])
+    poly = _product(*[(-alpha, Cyclo(1)) for alpha in a4_orbit(t)])
     return BinaryForm.from_univariate(poly, 12)
 
 
 # -- models over Q(i, sqrt3) -------------------------------------------------
-
-def _product(*factors):
-    """Coefficients of a product of univariate coefficient lists."""
-    return reduce(convolve, factors)
-
 
 def _a4_row(g: int):
     """(group, row, delta) of ``cyclic.GROUP_ROWS`` for g mod 6; GenusError if
@@ -141,13 +144,12 @@ def a4_curve_model(g: int, lambdas) -> BinaryForm:
     0, 2, 4 for the binary tetrahedral one); the lambda-list length must
     equal the row dimension.
     """
-    lambdas = [Fraction(l) if isinstance(l, int) else l for l in lambdas]
+    lambdas = [_exact(l) for l in lambdas]
     group, row, delta = _a4_row(g)
     if len(lambdas) != delta:
         raise GenusError(
             f"genus {g} ({group}) has dimension {delta}; got {len(lambdas)} branch parameters")
-    # the prefactor's own factors are multiplied first, which fixes the type of each zero slot
-    poly = _product(_product(*row.prefactor), *map(g_coefficients, lambdas))
+    poly = _product(*row.prefactor, *map(g_coefficients, lambdas))
     return BinaryForm.from_univariate(poly, 2 * g + 2)
 
 
@@ -164,44 +166,50 @@ def a4_genus_branch(g: int):
 
 # -- rational models ---------------------------------------------------------
 
+#: factor name -> {power of X: slot}: an int slot stays that int, a pair (c, k)
+#: is c mu^k in mu's ring (k = 0 too), and an unnamed power is mu's zero (0 without mu)
+_FACTORS = {
+    "X": {1: 1},
+    "3X^4+1": {0: 1, 4: 3},
+    "3X^4+6X^2-1": {0: -1, 2: 6, 4: 3},
+    "X(muX^4-1)": {1: -1, 5: (1, 1)},
+    # M = mu^3 X^12 - mu^3 X^10 - 33 mu^2 X^8 + 2 mu^2 X^6 - 33 mu X^4 - mu X^2 + 1
+    "M": {0: (1, 0), 2: (-1, 1), 4: (-33, 1), 6: (2, 2), 8: (-33, 2), 10: (-1, 3), 12: (1, 3)},
+    # 27X^12 - 27muX^10 + 297X^8 - 18muX^6 - 99X^4 - 3muX^2 - 1
+    "dodecic": {0: (-1, 0), 2: (-3, 1), 4: (-99, 0), 6: (-18, 1), 8: (297, 0),
+                10: (-27, 1), 12: (27, 0)},
+    # as published: 27X^12 - 27muX^10 + 297X^8 - 18X^6 - 99X^4 + 3muX^2 + 1
+    "dodecic*": {0: (1, 0), 2: (3, 1), 4: (-99, 0), 6: (-18, 0), 8: (297, 0),
+                 10: (-27, 1), 12: (27, 0)},
+    "octic": {0: (1, 0), 4: (14, 1), 8: (1, 2)},                # mu^2 X^8 + 14 mu X^4 + 1
+    "octic*": {0: (1, 0), 1: (1, 1), 8: (1, 2)},                # as published: mu^2 X^8 + mu X + 1
+}
+
+#: genus -> its rational model's factors, in product order (which fixes zero-slot types)
+_MODEL_ROWS = {
+    4: ("3X^4+1", "3X^4+6X^2-1", "X"),
+    5: ("M",),
+    7: ("3X^4+6X^2-1", "dodecic"),
+    8: ("X(muX^4-1)", "M"),
+    9: ("octic", "M"),
+    10: ("3X^4+1", "3X^4+6X^2-1", "dodecic", "X"),
+    12: ("X(muX^4-1)", "octic", "M"),
+}
+
+#: variant="display": genus -> {active: published factor}; g = 9 keeps its octic
+_DISPLAY_SWAPS = {7: {"dodecic": "dodecic*"}, 10: {"dodecic": "dodecic*"}, 12: {"octic": "octic*"}}
+
 #: genera whose rational model has the factor M(mu); M(0) = 1 makes the
 #: model a monomial there, so mu = 0 gives no curve
-M_FACTOR_GENERA = (5, 8, 9, 12)
+M_FACTOR_GENERA = tuple(g for g, names in _MODEL_ROWS.items() if "M" in names)
 
 
-def _m_coefficients(mu):
-    """mu^3 X^12 - mu^3 X^10 - 33 mu^2 X^8 + 2 mu^2 X^6 - 33 mu X^4 - mu X^2 + 1."""
-    zero = mu * 0
-    one = zero + 1
-    return [one, zero, -mu, zero, -33 * mu, zero, 2 * mu * mu, zero,
-            -33 * mu * mu, zero, -mu * mu * mu, zero, mu * mu * mu]
-
-
-def _dodecic_factor(mu, variant: str):
-    """The degree-12 factor of the genus-7/10 rational models.
-
-    adjudicated: 27X^12 - 27muX^10 + 297X^8 - 18muX^6 - 99X^4 - 3muX^2 - 1
-    display:     27X^12 - 27muX^10 + 297X^8 - 18X^6   - 99X^4 + 3muX^2 + 1
-    """
-    zero = mu * 0
-    one = zero + 1
-    if variant == "adjudicated":
-        return [-one, zero, -3 * mu, zero, -99 * one, zero, -18 * mu, zero,
-                297 * one, zero, -27 * mu, zero, 27 * one]
-    return [one, zero, 3 * mu, zero, -99 * one, zero, -18 * one, zero,
-            297 * one, zero, -27 * mu, zero, 27 * one]
-
-
-def _octic_factor(mu, variant: str):
-    """The genus-12 octic: mu^2 X^8 + 14 mu X^4 + 1 (display: mu^2 X^8 + mu X + 1)."""
-    zero = mu * 0
-    one = zero + 1
-    if variant == "adjudicated":
-        return [one, zero, zero, zero, 14 * mu, zero, zero, zero, mu * mu]
-    return [one, mu, zero, zero, zero, zero, zero, zero, mu * mu]
-
-
-GENUS4_CURVE = (0, -1, 0, 6, 0, 0, 0, 18, 0, 9)  # X(3X^4+1)(3X^4+6X^2-1)
+def _slot(slot, mu, zero):
+    """A factor slot's value: an int as it is, (c, k) as c mu^k in mu's ring."""
+    if isinstance(slot, int):
+        return slot
+    c, k = slot
+    return reduce(mul, (mu,) * k, c) if k else c + zero
 
 
 def rational_model(g: int, mu=None, variant: str = "adjudicated") -> BinaryForm:
@@ -214,26 +222,16 @@ def rational_model(g: int, mu=None, variant: str = "adjudicated") -> BinaryForm:
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if g == 4:
-        return BinaryForm.from_univariate(list(GENUS4_CURVE), 10)
-    if g not in A4_GENERA:
+    if g not in _MODEL_ROWS:
         raise GenusError(f"rational models exist for genera {A4_GENERA}, got {g}")
-    if mu is None:
+    swaps = _DISPLAY_SWAPS.get(g, {}) if variant == "display" else {}
+    factors = [_FACTORS[swaps.get(name, name)] for name in _MODEL_ROWS[g]]
+    if not any(isinstance(s, tuple) for f in factors for s in f.values()):
+        mu = None  # a row with no mu-term (g = 4) ignores mu
+    elif mu is None:
         raise ValueError(f"genus {g} model needs the parameter mu")
-    if isinstance(mu, int):
-        mu = Fraction(mu)
-    M = _m_coefficients(mu)
-    if g == 5:
-        poly = M
-    elif g == 7:
-        poly = _product([-1, 0, 6, 0, 3], _dodecic_factor(mu, variant))
-    elif g == 8:
-        poly = _product([0, -1, 0, 0, 0, mu], M)
-    elif g == 9:
-        poly = _product(_octic_factor(mu, "adjudicated"), M)
-    elif g == 10:
-        poly = _product([0, 1], _product([1, 0, 0, 0, 3], [-1, 0, 6, 0, 3],
-                                         _dodecic_factor(mu, variant)))
-    else:  # g == 12
-        poly = _product([0, -1, 0, 0, 0, mu], _octic_factor(mu, variant), M)
+    mu = _exact(mu)
+    zero = 0 if mu is None else mu * 0
+    poly = _product(*([_slot(f[j], mu, zero) if j in f else zero for j in range(max(f) + 1)]
+                      for f in factors))
     return BinaryForm.from_univariate(poly, 2 * g + 2)

@@ -279,6 +279,17 @@ CLASSIFIER_BRANCHES = {
 SUPPORTED_GENERA = tuple(CLASSIFIER_BRANCHES)
 
 
+def _admit(F: BinaryForm, genus: int, task: str) -> int:
+    """The degree 2g + 2 of a supported genus, checked against F's degree."""
+    if genus not in SUPPORTED_GENERA:
+        raise GenusError(f"{task} supports genera {SUPPORTED_GENERA}, got {genus}")
+    d = genus_degree(genus)
+    if F.degree != d:
+        raise UnsupportedDegreeError(
+            f"genus {genus} needs a degree-{d} form, got degree {F.degree}")
+    return d
+
+
 def classify_point(F: BinaryForm, genus: int) -> ModuliPoint:
     """Dispatch the piecewise moduli invariant for the supported genera.
 
@@ -286,12 +297,7 @@ def classify_point(F: BinaryForm, genus: int) -> ModuliPoint:
     computation itself is pure polynomial algebra.  For genus 4 the branch
     ratio needs I_6*, which no degree-10 form possesses; that branch raises.
     """
-    if genus not in SUPPORTED_GENERA:
-        raise GenusError(f"classification supports genera {SUPPORTED_GENERA}, got {genus}")
-    d = genus_degree(genus)
-    if F.degree != d:
-        raise UnsupportedDegreeError(
-            f"genus {genus} needs a degree-{d} form, got degree {F.degree}")
+    d = _admit(F, genus, "classification")
     ev = _Evaluator(F)
     test, nonzero, zero = CLASSIFIER_BRANCHES[genus]
     tag, names = nonzero if test is None or not _is_zero(ev.invariant(test)) else zero
@@ -319,8 +325,7 @@ VANISHING_BY_GENUS = {
 
 def vanishing_profile(F: BinaryForm, genus: int):
     """Exact zero-tests of the locus's necessary-vanishing invariants."""
-    if genus not in SUPPORTED_GENERA:
-        raise GenusError(f"vanishing profile supports genera {SUPPORTED_GENERA}, got {genus}")
+    _admit(F, genus, "vanishing profile")
     ev = _Evaluator(F)
     names = VANISHING_BY_GENUS[genus]
     inv = InvariantSet(degree=ev.degree, **{name: ev.invariant(name) for name in names})

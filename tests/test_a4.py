@@ -8,7 +8,8 @@ from hyperinv import (BinaryForm, ConstraintError, Cyclo, DomainError,
                       classify_point, covariant_catalogue, g_has_distinct_roots,
                       gl2_act, klein_phi, locus_parametrization, rational_model,
                       signature_row)
-from hyperinv.a4 import g_coefficients
+from hyperinv.a4 import M_FACTOR_GENERA, g_coefficients
+from hyperinv.catalogue import SUPPORTED_GENERA
 from hyperinv.cyclic import MAX_GENUS
 
 from conftest import nonzero_fraction
@@ -166,6 +167,10 @@ def test_display_variants_differ_and_fail_profiles():
     active12 = rational_model(12, mu)
     display12 = rational_model(12, mu, variant="display")
     assert active12 != display12
+    for mu in (Fraction(7, 2), Poly.x()):
+        changed = {g for g in SUPPORTED_GENERA
+                   if rational_model(g, mu, "display") != rational_model(g, mu)}
+        assert changed == {7, 10, 12}  # g = 9 shares the octic but keeps it
 
 
 def test_branch_model_classifies_like_the_locus_table():
@@ -220,3 +225,77 @@ def test_fiber_coefficients_pinned_over_each_ring():
         "Poly([-33]), Poly([]), Poly([Fraction(0, 1), Fraction(2, 1)]), Poly([]), "
         "Poly([-33]), Poly([]), Poly([Fraction(0, 1), Fraction(-1, 1)]), Poly([]), "
         "Poly([1])]")
+
+
+@pytest.mark.parametrize("t,text,name", [
+    (Fraction(0), "0", "1/t"), (Fraction(1), "1", "-i(t+1)/(t-1)"),
+    (Fraction(-1), "-1", "-i(t-1)/(t+1)"), (Cyclo.i(), "1*i", "(t+i)/(t-i)"),
+    (-Cyclo.i(), "-1*i", "(t-i)/(t+i)")])
+def test_orbit_pole_names_the_map_whose_denominator_vanishes(t, text, name):
+    with pytest.raises(DomainError) as err:
+        a4_orbit(t)
+    assert str(err.value) == f"orbit undefined: {name} has a pole at t = {text}"
+
+
+def test_orbit_collision_names_both_maps():
+    t = Cyclo(Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))
+    with pytest.raises(DomainError, match=r"collide at t = .*: t and \(t-i\)/\(t\+i\) agree"):
+        a4_orbit(t)
+
+
+#: repr of the rational model at mu = 7/2, the int 3 and the generator of Q[mu];
+#: it pins the type of every zero slot (the int 0, Fraction(0, 1) or Poly([]))
+_MODEL_REPRS = {
+    (4, "7/2"): "BinaryForm(10, [0, -1, 0, 6, 0, 0, 0, 18, 0, 9, 0])",
+    (4, "3"): "BinaryForm(10, [0, -1, 0, 6, 0, 0, 0, 18, 0, 9, 0])",
+    (4, "x"): "BinaryForm(10, [0, -1, 0, 6, 0, 0, 0, 18, 0, 9, 0])",
+    (5, "7/2"): ("BinaryForm(12, [Fraction(1, 1), Fraction(0, 1), Fraction(-7, 2), "
+                 "Fraction(0, 1), Fraction(-231, 2), Fraction(0, 1), Fraction(49, 2), "
+                 "Fraction(0, 1), Fraction(-1617, 4), Fraction(0, 1), Fraction(-343, 8), "
+                 "Fraction(0, 1), Fraction(343, 8)])"),
+    (5, "3"): ("BinaryForm(12, [Fraction(1, 1), Fraction(0, 1), Fraction(-3, 1), "
+               "Fraction(0, 1), Fraction(-99, 1), Fraction(0, 1), Fraction(18, 1), "
+               "Fraction(0, 1), Fraction(-297, 1), Fraction(0, 1), Fraction(-27, 1), "
+               "Fraction(0, 1), Fraction(27, 1)])"),
+    (5, "x"): ("BinaryForm(12, [Poly([1]), Poly([]), Poly([Fraction(0, 1), Fraction(-1, 1)]), "
+               "Poly([]), Poly([Fraction(0, 1), Fraction(-33, 1)]), Poly([]), "
+               "Poly([0, 0, Fraction(2, 1)]), Poly([]), Poly([0, 0, Fraction(-33, 1)]), "
+               "Poly([]), Poly([0, 0, 0, Fraction(-1, 1)]), Poly([]), "
+               "Poly([0, 0, 0, Fraction(1, 1)])])"),
+    (10, "7/2"): ("BinaryForm(22, [0, Fraction(1, 1), 0, Fraction(9, 2), 0, Fraction(36, 1), "
+                  "0, Fraction(-549, 1), 0, Fraction(-873, 1), 0, 0, 0, Fraction(-2619, 1), 0, "
+                  "Fraction(4941, 1), 0, Fraction(972, 1), 0, Fraction(-729, 2), 0, "
+                  "Fraction(243, 1), 0])"),
+    (10, "3"): ("BinaryForm(22, [0, Fraction(1, 1), 0, Fraction(3, 1), 0, Fraction(45, 1), 0, "
+                "Fraction(-558, 1), 0, Fraction(-792, 1), 0, 0, 0, Fraction(-2376, 1), 0, "
+                "Fraction(5022, 1), 0, Fraction(1215, 1), 0, Fraction(-243, 1), 0, "
+                "Fraction(243, 1), 0])"),
+    (10, "x"): ("BinaryForm(22, [0, Poly([1]), 0, Poly([Fraction(-6, 1), Fraction(3, 1)]), 0, "
+                "Poly([Fraction(99, 1), Fraction(-18, 1)]), 0, "
+                "Poly([Fraction(-612, 1), Fraction(18, 1)]), 0, "
+                "Poly([Fraction(-306, 1), Fraction(-162, 1)]), 0, 0, 0, "
+                "Poly([Fraction(-918, 1), Fraction(-486, 1)]), 0, "
+                "Poly([Fraction(5508, 1), Fraction(-162, 1)]), 0, "
+                "Poly([Fraction(2673, 1), Fraction(-486, 1)]), 0, "
+                "Poly([Fraction(486, 1), Fraction(-243, 1)]), 0, Poly([243]), 0])"),
+}
+
+
+@pytest.mark.parametrize("g,label", sorted(_MODEL_REPRS))
+def test_rational_model_reprs_pin_zero_slot_types(g, label):
+    mu = {"7/2": Fraction(7, 2), "3": 3, "x": Poly.x()}[label]
+    assert repr(rational_model(g, mu)) == _MODEL_REPRS[g, label]
+
+
+def test_rational_model_genera_and_m_factor_genera():
+    for g in range(-1, 15):
+        if g in SUPPORTED_GENERA:
+            assert rational_model(g, Fraction(7, 2)).degree == 2 * g + 2
+        else:
+            with pytest.raises(GenusError):
+                rational_model(g, Fraction(7, 2))
+    assert M_FACTOR_GENERA == (5, 8, 9, 12)
+    for g in SUPPORTED_GENERA:
+        # M(0) = 1 makes the model a monomial at mu = 0 exactly on M's genera
+        terms = [c for c in rational_model(g, Fraction(0)).coeffs if c != 0]
+        assert (len(terms) == 1) == (g in M_FACTOR_GENERA)

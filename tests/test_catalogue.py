@@ -242,6 +242,17 @@ def test_classify_requires_matching_degree_and_genus():
         classify_point(power_sum_form(12), 7)
 
 
+def test_vanishing_profile_admits_like_classify_point():
+    """A genus-5 form is not on the genus-12 locus: both readers refuse it."""
+    F = rational_model(5, Fraction(7, 2))
+    for reader in (classify_point, vanishing_profile):
+        with pytest.raises(UnsupportedDegreeError,
+                           match="genus 12 needs a degree-26 form, got degree 12"):
+            reader(F, 12)
+    with pytest.raises(GenusError, match="vanishing profile supports genera"):
+        vanishing_profile(F, 6)
+
+
 def test_classify_constant_on_isomorphism_class():
     rng = __import__("random").Random(23)
     for _ in range(5):
