@@ -22,7 +22,7 @@ from operator import mul
 
 from .catalogue import SUPPORTED_GENERA as A4_GENERA
 from .cyclic import group_row
-from .errors import ConstraintError, DomainError, GenusError, PoleError
+from .errors import ConstraintError, DomainError, GenusError, InputError, PoleError
 from .forms import BinaryForm
 from .polynomials import Poly, convolve
 from .scalars import Cyclo
@@ -219,9 +219,9 @@ def rational_model(g: int, mu=None, variant: str = "adjudicated") -> BinaryForm:
     for g = 4 (a zero-dimensional locus with a fixed representative curve).
     ``variant="display"`` reproduces the published factors verbatim for
     g in {7, 10, 12} (they fail the vanishing profiles; kept for the record).
+    After the genus is admitted, a missing mu, then an unknown variant, is an
+    InputError (a ValueError).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     if g not in _MODEL_ROWS:
         raise GenusError(f"rational models exist for genera {A4_GENERA}, got {g}")
     swaps = _DISPLAY_SWAPS.get(g, {}) if variant == "display" else {}
@@ -229,7 +229,9 @@ def rational_model(g: int, mu=None, variant: str = "adjudicated") -> BinaryForm:
     if not any(isinstance(s, tuple) for f in factors for s in f.values()):
         mu = None  # a row with no mu-term (g = 4) ignores mu
     elif mu is None:
-        raise ValueError(f"genus {g} model needs the parameter mu")
+        raise InputError("rational model needs mu")
+    if variant not in VARIANTS:
+        raise InputError(f"unknown variant {variant!r}")
     mu = _exact(mu)
     zero = 0 if mu is None else mu * 0
     poly = _product(*([_slot(f[j], mu, zero) if j in f else zero for j in range(max(f) + 1)]

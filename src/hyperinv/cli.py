@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .a4 import VARIANTS, a4_curve_model, rational_model
+from .a4 import a4_curve_model, rational_model
 from .catalogue import (absolute_invariants, classify_point,
                         covariant_catalogue, vanishing_profile)
 from .cyclic import dihedral_invariants, reconstruct_from_u, signature_row
@@ -70,11 +70,7 @@ def _cmd_model(payload, ctx):
     g = field(payload, "genus", int)
     if family == "rational":
         mu = field(payload, "mu", default=None)
-        if mu is None and g != 4:
-            raise InputError("rational model needs mu")
         variant = field(payload, "variant", str, "adjudicated")
-        if variant not in VARIANTS:
-            raise InputError(f"unknown variant {variant!r}")
         form = rational_model(g, scalar_from_json(mu, "Q") if mu is not None else None,
                               variant=variant)
         return form_to_json(form, genus=g)

@@ -2,7 +2,7 @@
 
 Everything that is a *domain* failure (pole, unsupported degree, off-locus
 point, ...) derives from DomainError so the CLI can map it to exit code 1;
-malformed input is InputError (exit code 2).
+malformed input is InputError (exit code 2), which is also a ValueError.
 """
 
 from __future__ import annotations
@@ -68,5 +68,5 @@ class RecoveryError(DomainError):
     """Parameter recovery has no finite answer: the fiber is not finite."""
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Malformed request payload (CLI exit code 2)."""

@@ -2,18 +2,21 @@
 recovery, and the genus-5 locus equation.
 
 The parametrization table ships as a versioned JSON fixture
-(data/locus_table.json).  Entries are exact rational-function data; where the
-published display and exact recomputation disagree, the recomputed form is
-active and the published variant is retained with a status note.  Ground
-truth for every entry is classify_point of the matching rational model; the
-verification driver re-establishes that correspondence symbolically.
+(data/locus_table.json) and is read once: every polynomial and rational
+function is parsed at load time into the value the code returns (the genus-7
+constraint branch into its ``CubicConstraint``).  Where the published display
+and exact recomputation disagree, the recomputed form is active and the
+published variant is retained with a status note.  Ground truth for every
+entry is classify_point of the matching rational model; ``verify_genus``
+re-establishes that correspondence symbolically, dispatching on what the
+table row holds, not on its genus.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from importlib import resources
 from itertools import count
 from math import isqrt
@@ -51,6 +54,11 @@ class SpecialValue(Record):
     case_tag: str
     note: str = ""
 
+    @property
+    def value(self) -> Fraction:
+        """The recomputed value where one is recorded, else the published one."""
+        return self.published if self.recomputed is None else self.recomputed
+
 
 class LocusEntry(Record):
     genus: int
@@ -60,11 +68,9 @@ class LocusEntry(Record):
     p1: RatFunc | None = None
     p2: RatFunc | None = None
     special_values: tuple = ()
-    special_condition: dict | None = None
-    degenerate_branch: dict | None = None
-    parameter_poly: Poly | None = None      # special_condition, parsed
-    point_relation: Poly | None = None      # special_condition, parsed
-    condition_factors: tuple = ()           # degenerate_branch, parsed
+    constraint: CubicConstraint | None = None   # special_condition
+    condition_factors: tuple = ()               # degenerate_branch
+    degenerate_note: str = ""                   # degenerate_branch
     published_variants: dict | None = None
     note: str = ""
 
@@ -93,7 +99,10 @@ def _parse_ratfunc(obj) -> RatFunc:
 
 def load_locus_table(path: str | None = None) -> LocusTable:
     """Load the shipped fixture, or an override file; a malformed one raises
-    InputError, ValueError (JSON, genus keys) or ExactDivisionError."""
+    InputError, ValueError (JSON, genus keys) or ExactDivisionError.
+
+    ``special_condition.kind``/``.note`` and ``degenerate_branch.status`` are
+    documentation and stay in the JSON only."""
     if path is None:
         text = resources.files("hyperinv").joinpath("data/locus_table.json").read_text()
     else:
@@ -117,8 +126,6 @@ def load_locus_table(path: str | None = None) -> LocusTable:
         )
         cond = field(obj, "special_condition", dict, None)
         branch = field(obj, "degenerate_branch", dict, None)
-        if branch:
-            field(branch, "note", str)          # read when the branch is hit
         kind = field(obj, "kind", str)
         constant = kind == "constant"
         entries[g] = LocusEntry(
@@ -129,35 +136,32 @@ def load_locus_table(path: str | None = None) -> LocusTable:
             p1=None if constant else _parse_ratfunc(field(obj, "p1")),
             p2=None if constant else _parse_ratfunc(field(obj, "p2")),
             special_values=specials,
-            special_condition=cond,
-            degenerate_branch=branch,
-            parameter_poly=_parse_poly(field(cond, "parameter_poly")) if cond else None,
-            point_relation=_parse_poly(field(cond, "point_relation")) if cond else None,
+            constraint=CubicConstraint(
+                genus=g,
+                case_tag=field(cond, "case", str, f"g={g}"),
+                parameter_poly=_parse_poly(field(cond, "parameter_poly")),
+                relation=_parse_poly(field(cond, "point_relation")),
+            ) if cond else None,
             condition_factors=tuple(map(_parse_poly, field(branch, "condition_factors", list)
                                         if branch else ())),
+            degenerate_note=field(branch, "note", str) if branch else "",
             published_variants=field(obj, "published_variants", dict, None),
             note=field(obj, "note", str, ""),
         )
     return LocusTable(version=field(raw, "version", str), entries=entries)
 
 
-_DEFAULT_TABLE = None
-
-
+@cache
 def default_table() -> LocusTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_locus_table()
-    return _DEFAULT_TABLE
+    return load_locus_table()
 
 
 def locus_parametrization(genus: int, mu, table: LocusTable | None = None):
     """Evaluate the locus-table entry at a rational parameter.
 
-    Returns a ModuliPoint, or a CubicConstraint on the genus-7 degenerate
-    branch.  Special parameter values (poles of the generic branch) return
-    the recorded special value; the recomputed one is used where the
-    published value could not be reproduced (status on the table entry).
+    Returns a ModuliPoint, or the table's stored CubicConstraint on the
+    genus-7 degenerate branch.  Special parameter values (poles of the
+    generic branch) return the recorded special value (``SpecialValue.value``).
     mu = 0 raises DomainError where the model is no curve (``M_FACTOR_GENERA``).
     """
     table = table or default_table()
@@ -170,19 +174,12 @@ def locus_parametrization(genus: int, mu, table: LocusTable | None = None):
                           "M(mu) is the constant 1 there")
     for sv in entry.special_values:
         if sv.mu == mu:
-            value = sv.recomputed if sv.recomputed is not None else sv.published
-            return ModuliPoint(genus=genus, case_tag=sv.case_tag, values=(value,))
-    if entry.parameter_poly is not None and entry.parameter_poly(mu) == 0:
-        return CubicConstraint(
-            genus=genus,
-            case_tag=entry.special_condition.get("case", f"g={genus}"),
-            parameter_poly=entry.parameter_poly,
-            relation=entry.point_relation,
-        )
+            return ModuliPoint(genus=genus, case_tag=sv.case_tag, values=(sv.value,))
+    if entry.constraint and entry.constraint.parameter_poly(mu) == 0:
+        return entry.constraint
     if any(factor(mu) == 0 for factor in entry.condition_factors):
         raise DomainError(
-            f"genus {genus} degenerate branch at mu = {mu}: "
-            + entry.degenerate_branch["note"])
+            f"genus {genus} degenerate branch at mu = {mu}: " + entry.degenerate_note)
     try:
         v1 = entry.p1.eval(mu)
         v2 = entry.p2.eval(mu)
@@ -201,13 +198,14 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
     Computed as the rational roots of gcd(num(p1(mu) - p1), num(p2(mu) - p2)),
     exactly at any degree and coefficient size, then filtered by exact
     back-substitution.  RecoveryError means only a fiber that is not finite
-    (a component matching its parametrization identically).
+    (a component matching its parametrization identically); a point with
+    other than one or two components is a DomainError.
     """
     table = table or default_table()
     entry = table.entry(genus)
     if entry.kind == "constant":
         raise GenusError(f"genus {genus} locus is a single point; no parameter to recover")
-    values = tuple(point.values) if isinstance(point, ModuliPoint) else tuple(point)
+    values = _values(point, (1, 2), "parameter recovery")
     if len(values) == 1:
         hits = [sv.mu for sv in entry.special_values
                 if values[0] in (sv.recomputed, sv.published)]
@@ -241,6 +239,16 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
             f"point ({p1}, {p2}) is not on the genus-{genus} locus "
             f"(no candidate parameter back-substitutes)")
     return canonical_order(good)
+
+
+def _values(point, sizes, who) -> tuple:
+    """The components of a ModuliPoint or of a sequence; a DomainError unless
+    their number is one of sizes."""
+    values = tuple(point.values) if isinstance(point, ModuliPoint) else tuple(point)
+    if len(values) not in sizes:
+        words = "- or ".join(("one", "two")[n - 1] for n in sizes)
+        raise DomainError(f"{who} needs a {words}-component point")
+    return values
 
 
 def _rational_roots(p: Poly) -> list:
@@ -311,15 +319,12 @@ def genus5_locus_residual(point):
 
     Accepts Fraction pairs or RatFunc pairs (for symbolic verification).
     """
-    values = tuple(point.values) if isinstance(point, ModuliPoint) else tuple(point)
-    if len(values) != 2:
-        raise DomainError("the genus-5 locus equation needs a two-component point")
-    return _l5_sum(_L5_TERMS, *values)
+    return _l5_sum(_L5_TERMS, *_values(point, (2,), "the genus-5 locus equation"))
 
 
 def genus5_locus_is_singular(point) -> bool:
     """Residual and both formal partials vanish at the point."""
-    values = tuple(point.values) if isinstance(point, ModuliPoint) else tuple(point)
+    values = _values(point, (2,), "the genus-5 locus equation")
     if genus5_locus_residual(values) != 0:
         return False
     return _l5_sum(_L5_D1, *values) == 0 and _l5_sum(_L5_D2, *values) == 0
@@ -356,77 +361,61 @@ def genus5_singular_point_analysis(table: LocusTable | None = None) -> dict:
 def verify_genus(genus: int, table: LocusTable | None = None) -> list[dict]:
     """Re-derive the locus data for one genus and report per-check status.
 
-    Checks: the vanishing profile identically in the parameter, the symbolic
-    match between classify_point of the rational model and the table entry,
-    recomputation of recorded special values, the genus-7 constraint-branch
-    relation, and the genus-5 locus-equation identities.
+    The checks follow the table row: a constant row checks its model's
+    vanishing profile only; a pair row checks the vanishing profile
+    identically in the parameter, the symbolic match between classify_point
+    of the rational model and the table entry, and the recorded special
+    values; a row with a constraint checks its relation; and genus 5 checks
+    its locus-equation identities.
     """
     table = table or default_table()
     entry = table.entry(genus)  # raises GenusError for unsupported genus
     checks: list[dict] = []
 
-    def report(name, ok, detail=""):
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       "detail": detail})
+    def report(name, status, detail=""):
+        if isinstance(status, bool):
+            status = "pass" if status else "fail"
+        checks.append({"name": name, "status": status, "detail": detail})
 
-    if genus == 4:
-        F = rational_model(4)
-        profile = vanishing_profile(F, 4)
+    if entry.kind == "constant":
+        profile = vanishing_profile(rational_model(genus), genus)
         report("vanishing-profile", all(v for _, v in profile), str(profile))
-        checks.append({
-            "name": "moduli-value-recomputation", "status": "skip",
-            "detail": entry.note})
+        report("moduli-value-recomputation", "skip", entry.note)
         return checks
 
-    checks.append({
-        "name": "transcription-status",
-        "status": entry.status,
-        "detail": entry.note or "published display matches exact recomputation"})
+    report("transcription-status", entry.status,
+           entry.note or "published display matches exact recomputation")
     if entry.published_variants:
-        checks.append({
-            "name": "published-variants-on-record",
-            "status": "info",
-            "detail": str(entry.published_variants)})
+        report("published-variants-on-record", "info", str(entry.published_variants))
 
-    mu = Poly.x()
-    F = rational_model(genus, mu)
+    F = rational_model(genus, Poly.x())
     profile = vanishing_profile(F, genus)
     report("vanishing-profile-identically", all(v for _, v in profile), str(profile))
 
     point = classify_point(F, genus)
-    exp1, exp2 = entry.p1, entry.p2
-    got1, got2 = point.values
-    ok1, ok2 = got1 == exp1, got2 == exp2
-    report("parametrization-first-component", ok1,
-           "" if ok1 else f"recomputed {got1!r}")
-    report("parametrization-second-component", ok2,
-           "" if ok2 else f"recomputed {got2!r}")
+    for which, got, expected in zip(("first", "second"), point.values,
+                                    (entry.p1, entry.p2), strict=True):
+        report(f"parametrization-{which}-component", got == expected,
+               "" if got == expected else f"recomputed {got!r}")
 
     for sv in entry.special_values:
-        special = classify_point(rational_model(genus, sv.mu), genus)
-        value = special.values[0]
-        agrees_published = value == sv.published
-        agrees_recorded = sv.recomputed is not None and value == sv.recomputed
-        status = "pass" if agrees_published else (
-            "recomputed-differs" if agrees_recorded else "fail")
-        checks.append({
-            "name": f"special-value(mu={sv.mu})", "status": status,
-            "detail": f"classify gives {value}; published {sv.published}"})
+        value = classify_point(rational_model(genus, sv.mu), genus).values[0]
+        report(f"special-value(mu={sv.mu})",
+               "pass" if value == sv.published else
+               "recomputed-differs" if value == sv.value else "fail",
+               f"classify gives {value}; published {sv.published}")
 
-    if genus == 7 and entry.parameter_poly is not None:
-        cubic, rel = entry.parameter_poly, entry.point_relation
+    if entry.constraint:
         # v3 = I6/I6p as a rational function of mu; rel(v3) must vanish mod cubic
+        cubic, rel = entry.constraint.parameter_poly, entry.constraint.relation
         v3 = absolute_invariants(F).v3
-        n, d = v3.num, v3.den
-        acc = Poly()
-        for k, c in enumerate(rel.coeffs):
-            acc = acc + c * n ** k * d ** (rel.degree - k)
+        acc = reduce(add, (c * v3.num ** k * v3.den ** (rel.degree - k)
+                           for k, c in enumerate(rel.coeffs)), Poly())
         report("constraint-branch-relation", (acc % cubic).is_zero,
                "relation(v3) = 0 modulo the parameter cubic")
 
     if genus == 5:
-        residual = genus5_locus_residual(point.values)
-        report("locus-equation-residual", residual == 0,
+        report("locus-equation-residual", genus5_locus_residual(point) == 0,
                "identically in the parameter")
         sing = genus5_singular_point_analysis(table)
         report("singular-point-uniqueness",

@@ -235,6 +235,20 @@ def test_verify_locus_reports_documented_mismatches(tmp_path):
     assert names["special-value(mu=-836/3)"]["status"] == "recomputed-differs"
 
 
+@pytest.mark.parametrize("payload, code, name", [
+    ({"genus": 3}, 1, "GenusError"),
+    ({"genus": 3, "mu": "3"}, 1, "GenusError"),
+    ({"genus": 5}, 2, "InputError"),
+    ({"genus": 5, "mu": "3", "variant": "printed"}, 2, "InputError"),
+    ({"genus": 4, "variant": "printed"}, 2, "InputError"),
+])
+def test_model_admits_the_genus_before_reading_mu_and_variant(payload, code, name):
+    # the answer's class depends on the genus alone, whether or not mu is sent
+    got, out, _ = call_main([{"command": "model", "payload": payload}], "--batch")
+    assert got == code
+    assert json.loads(out)[0]["error"]["name"] == name
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     inp = tmp_path / "in.json"
     inp.write_text('{"command": "classify", ')
@@ -397,7 +411,11 @@ def _fixture_with(mutate):
     lambda raw: raw["genera"]["5"]["p1"]["num"].__setitem__(0, 3),
     lambda raw: raw.__setitem__("genera", []),
     lambda raw: raw["genera"]["5"].__setitem__("p1", "x"),
-], ids=["zero-denominator", "int-leaf", "genera-array", "p1-string"])
+    lambda raw: raw["genera"]["7"]["special_condition"].pop("point_relation"),
+    lambda raw: raw["genera"]["10"]["degenerate_branch"].pop("note"),
+    lambda raw: raw["genera"]["10"]["degenerate_branch"].__setitem__("condition_factors", "x"),
+], ids=["zero-denominator", "int-leaf", "genera-array", "p1-string",
+        "condition-without-relation", "branch-without-note", "factors-string"])
 def test_malformed_fixture_exits_2_with_one_line(tmp_path, mutate):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(_fixture_with(mutate)))

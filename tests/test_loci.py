@@ -1,15 +1,16 @@
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from hyperinv import (DomainError, GenusError, UndefinedInvariantError,
+from hyperinv import (CubicConstraint, DomainError, GenusError, UndefinedInvariantError,
                       OffLocusError, PoleError, Poly, classify_point, default_table,
                       genus5_locus_is_singular, genus5_locus_residual,
                       genus5_singular_point_analysis, load_locus_table,
                       locus_parametrization, rational_model, ratfunc_eval,
-                      recover_mu)
-
+                      recover_mu, verify_genus)
 
 
 def test_table_loads_and_versions():
@@ -63,27 +64,40 @@ def test_genus10_degenerate_branch_excluded():
         locus_parametrization(10, Fraction(782, 251))
 
 
+def _raw_fixture():
+    """The shipped fixture as plain JSON, read past the loader."""
+    return json.loads(resources.files("hyperinv").joinpath("data/locus_table.json").read_text())
+
+
+def _poly(strings):
+    return Poly(tuple(Fraction(s) for s in strings))
+
+
 def test_genus7_constraint_branch_data():
+    cond = _raw_fixture()["genera"]["7"]["special_condition"]
     entry = default_table().entry(7)
-    cond = entry.special_condition
     assert cond["kind"] == "cubic-constraint"
     assert cond["parameter_poly"][0] == "1549768"       # corrected constant term
     assert entry.published_variants["denominator_cubic"][0] == "1549769"
+    assert entry.constraint == CubicConstraint(
+        genus=7, case_tag=cond["case"], parameter_poly=_poly(cond["parameter_poly"]),
+        relation=_poly(cond["point_relation"]))
     # the cubic has no rational zero, so no rational parameter reaches the
     # constraint branch; its content is verified modularly by verify_genus
-    from hyperinv.loci import _parse_poly, _rational_roots
-    assert _rational_roots(_parse_poly(cond["parameter_poly"])) == []
+    from hyperinv.loci import _rational_roots
+    assert _rational_roots(entry.constraint.parameter_poly) == []
 
 
 def test_fixture_polynomials_are_parsed_at_load(monkeypatch):
     from hyperinv import loci
+    raw = _raw_fixture()["genera"]
+    cond, branch = raw["7"]["special_condition"], raw["10"]["degenerate_branch"]
     table = load_locus_table()
     e7, e10 = table.entry(7), table.entry(10)
-    cond, branch = e7.special_condition, e10.degenerate_branch
-    assert e7.parameter_poly == loci._parse_poly(cond["parameter_poly"])
-    assert e7.point_relation == loci._parse_poly(cond["point_relation"])
-    assert e10.condition_factors == tuple(
-        loci._parse_poly(f) for f in branch["condition_factors"])
+    assert e7.constraint.parameter_poly == _poly(cond["parameter_poly"])
+    assert e7.constraint.relation == _poly(cond["point_relation"])
+    assert e10.condition_factors == tuple(map(_poly, branch["condition_factors"]))
+    assert e10.degenerate_note == branch["note"]
 
     def no_parse(strings):
         raise AssertionError("fixture polynomial parsed after load")
@@ -172,6 +186,14 @@ def test_recover_mu_off_locus():
         recover_mu(9, perturbed)
 
 
+def test_recover_mu_needs_one_or_two_components():
+    # a point is refused as given: no component is dropped or made up
+    three = locus_parametrization(9, 3).values + (Fraction(99),)
+    for genus, point in ((5, ()), (9, three)):
+        with pytest.raises(DomainError, match="one- or two-component"):
+            recover_mu(genus, point)
+
+
 def test_recover_mu_special_single_component():
     mus = recover_mu(5, locus_parametrization(5, Fraction(-924, 5)))
     assert Fraction(-924, 5) in mus
@@ -200,9 +222,7 @@ def test_genus5_singular_point_uniqueness():
 
 
 def test_fixture_override(tmp_path):
-    import json
-    from importlib import resources
-    raw = json.loads(resources.files("hyperinv").joinpath("data/locus_table.json").read_text())
+    raw = _raw_fixture()
     raw["version"] = "test-override"
     path = tmp_path / "table.json"
     path.write_text(json.dumps(raw))
@@ -215,3 +235,74 @@ def test_fixture_override(tmp_path):
 def test_parametrization_rejects_unknown_genus():
     with pytest.raises(GenusError):
         locus_parametrization(6, Fraction(1))
+
+
+def test_constraint_branch_returns_the_stored_record(tmp_path):
+    # the shipped cubic has no rational zero; an override whose cubic is
+    # mu - 3 sends mu = 3 down the constraint branch
+    raw = _raw_fixture()
+    raw["genera"]["7"]["special_condition"]["parameter_poly"] = ["-3", "1"]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(raw))
+    table = load_locus_table(str(path))
+    got = locus_parametrization(7, 3, table)
+    assert got is table.entry(7).constraint
+    assert got.case_tag == "g=7, I_3 = 0"
+    assert got.parameter_poly == _poly(["-3", "1"])
+    assert len(locus_parametrization(7, 2, table).values) == 2
+
+
+#: verify_genus's (name, status) sequence per genus; the only
+#: "recomputed-differs" are the transcription statuses of genera 7, 9 and 12
+#: and the genus-9 special value
+VERIFY_CHECKS = {
+    4: [("vanishing-profile", "pass"), ("moduli-value-recomputation", "skip")],
+    5: [("transcription-status", "verified"),
+        ("vanishing-profile-identically", "pass"),
+        ("parametrization-first-component", "pass"),
+        ("parametrization-second-component", "pass"),
+        ("special-value(mu=-924/5)", "pass"),
+        ("locus-equation-residual", "pass"),
+        ("singular-point-uniqueness", "pass"),
+        ("singular-point-value", "pass")],
+    7: [("transcription-status", "recomputed-differs"),
+        ("published-variants-on-record", "info"),
+        ("vanishing-profile-identically", "pass"),
+        ("parametrization-first-component", "pass"),
+        ("parametrization-second-component", "pass"),
+        ("constraint-branch-relation", "pass")],
+    8: [("transcription-status", "verified"),
+        ("vanishing-profile-identically", "pass"),
+        ("parametrization-first-component", "pass"),
+        ("parametrization-second-component", "pass"),
+        ("special-value(mu=-884/7)", "pass")],
+    9: [("transcription-status", "recomputed-differs"),
+        ("published-variants-on-record", "info"),
+        ("vanishing-profile-identically", "pass"),
+        ("parametrization-first-component", "pass"),
+        ("parametrization-second-component", "pass"),
+        ("special-value(mu=-836/3)", "recomputed-differs")],
+    10: [("transcription-status", "verified"),
+         ("vanishing-profile-identically", "pass"),
+         ("parametrization-first-component", "pass"),
+         ("parametrization-second-component", "pass")],
+    12: [("transcription-status", "recomputed-differs"),
+         ("published-variants-on-record", "info"),
+         ("vanishing-profile-identically", "pass"),
+         ("parametrization-first-component", "pass"),
+         ("parametrization-second-component", "pass"),
+         ("special-value(mu=-1700/11)", "pass")],
+}
+
+
+def test_verify_genus_check_sequence_and_cli_agree(tmp_path):
+    from hyperinv.cli import main
+    assert sorted(VERIFY_CHECKS) == sorted(default_table().entries)
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps([{"command": "verify-locus", "payload": {"genus": g}}
+                               for g in VERIFY_CHECKS]))
+    assert main(["--batch", "--input", str(inp), "--output", str(out)]) == 0
+    for (genus, expected), report in zip(VERIFY_CHECKS.items(), json.loads(out.read_text())):
+        checks = verify_genus(genus)
+        assert [(c["name"], c["status"]) for c in checks] == expected, genus
+        assert report["result"] == {"genus": genus, "checks": checks}

@@ -72,9 +72,8 @@ INSTANCES = {
     "LocusEntry": (
         lambda: LocusEntry(genus=4, kind="constant", status="verified", value=Fraction(7, 2)),
         "LocusEntry(genus=4, kind='constant', status='verified', value=Fraction(7, 2), "
-        "p1=None, p2=None, special_values=(), special_condition=None, degenerate_branch=None, "
-        "parameter_poly=None, point_relation=None, condition_factors=(), "
-        "published_variants=None, note='')"),
+        "p1=None, p2=None, special_values=(), constraint=None, condition_factors=(), "
+        "degenerate_note='', published_variants=None, note='')"),
     "LocusTable": (
         lambda: LocusTable(version="t1", entries={}),
         "LocusTable(version='t1', entries={})"),
