@@ -21,9 +21,12 @@ in ``RECIPE`` (name -> (left, right, r(d), guard(d))):
 
 A node whose guard fails at d, or one of whose ingredients is undefined, is
 undefined (None), never zero.  The guard is checked first, so a node gives
-up before it builds either ingredient.  Each call evaluates the DAG afresh: a node is
-transvected the first time the call asks for it and kept for that call only,
-so ``classify_point`` and ``vanishing_profile`` build just what they read.
+up before it builds either ingredient.  An ``Evaluator`` holds the DAG at one
+form: a node is transvected the first time it is asked for and kept as long as
+the evaluator lives, so ``classify_point`` and ``vanishing_profile`` build just
+what they read.  Each of them, given a form, evaluates afresh; given an
+``Evaluator``, it reuses the nodes already built there, so several readings of
+one form (as in ``loci.verify_genus``) transvect each node once.
 
 Two absolute-invariant orientations deviate from their published display and
 are pinned instead by the published special values they must reproduce (see
@@ -85,8 +88,9 @@ def _check_degree(F: BinaryForm) -> int:
     return d
 
 
-class _Evaluator:
-    """``RECIPE`` at one form: each node is transvected when first asked for."""
+class Evaluator:
+    """``RECIPE`` at one form: each node is transvected when first asked for
+    and kept for the life of the evaluator."""
 
     def __init__(self, F: BinaryForm):
         self.degree = _check_degree(F)
@@ -106,6 +110,10 @@ class _Evaluator:
     def invariant(self, name: str):
         cov = self.covariant(name)
         return None if cov is None else cov.constant_value()
+
+    def invariant_set(self, *names: str) -> "InvariantSet":
+        """The named invariants, every other entry left None."""
+        return InvariantSet(degree=self.degree, **{name: self.invariant(name) for name in names})
 
 
 class InvariantSet(Record):
@@ -138,15 +146,14 @@ class InvariantSet(Record):
 
 def catalogue_intermediates(F: BinaryForm) -> dict[str, Covariant]:
     """The intermediate covariants J_{4j} (j=1..4), M, and S where defined."""
-    ev = _Evaluator(F)
+    ev = Evaluator(F)
     return {k: cov for k in ("J4", "J8", "J12", "J16", "M", "S")
             if (cov := ev.covariant(k)) is not None}
 
 
 def covariant_catalogue(F: BinaryForm) -> InvariantSet:
     """All catalogue invariants of F that exist at its degree, exactly."""
-    ev = _Evaluator(F)
-    return InvariantSet(degree=ev.degree, **{k: ev.invariant(k) for k in INVARIANT_KEYS})
+    return Evaluator(F).invariant_set(*INVARIANT_KEYS)
 
 
 #: name -> (numerator, its power, denominator, its power)
@@ -279,31 +286,32 @@ CLASSIFIER_BRANCHES = {
 SUPPORTED_GENERA = tuple(CLASSIFIER_BRANCHES)
 
 
-def _admit(F: BinaryForm, genus: int, task: str) -> int:
-    """The degree 2g + 2 of a supported genus, checked against F's degree."""
+def _admit(source: BinaryForm | Evaluator, genus: int, task: str) -> Evaluator:
+    """The Evaluator of a form (or the given Evaluator), once its degree is
+    checked to be 2g + 2 for a supported genus."""
     if genus not in SUPPORTED_GENERA:
         raise GenusError(f"{task} supports genera {SUPPORTED_GENERA}, got {genus}")
     d = genus_degree(genus)
-    if F.degree != d:
+    if source.degree != d:
         raise UnsupportedDegreeError(
-            f"genus {genus} needs a degree-{d} form, got degree {F.degree}")
-    return d
+            f"genus {genus} needs a degree-{d} form, got degree {source.degree}")
+    return source if isinstance(source, Evaluator) else Evaluator(source)
 
 
-def classify_point(F: BinaryForm, genus: int) -> ModuliPoint:
-    """Dispatch the piecewise moduli invariant for the supported genera.
+def classify_point(source: BinaryForm | Evaluator, genus: int) -> ModuliPoint:
+    """Dispatch the piecewise moduli invariant for the supported genera, at a
+    form or at an ``Evaluator`` of one (whose built nodes are reused).
 
     The geometric reading assumes F squarefree (an actual curve); the
     computation itself is pure polynomial algebra.  For genus 4 the branch
     ratio needs I_6*, which no degree-10 form possesses; that branch raises.
     """
-    d = _admit(F, genus, "classification")
-    ev = _Evaluator(F)
+    ev = _admit(source, genus, "classification")
     test, nonzero, zero = CLASSIFIER_BRANCHES[genus]
     tag, names = nonzero if test is None or not _is_zero(ev.invariant(test)) else zero
     values = []
     for name in names:
-        value, reason = _absolute(name, ev.invariant, d)
+        value, reason = _absolute(name, ev.invariant, ev.degree)
         if value is None:
             raise UndefinedInvariantError(
                 f"branch '{tag}' needs {name}, undefined: {reason}")
@@ -323,10 +331,10 @@ VANISHING_BY_GENUS = {
 }
 
 
-def vanishing_profile(F: BinaryForm, genus: int):
-    """Exact zero-tests of the locus's necessary-vanishing invariants."""
-    _admit(F, genus, "vanishing profile")
-    ev = _Evaluator(F)
+def vanishing_profile(source: BinaryForm | Evaluator, genus: int):
+    """Exact zero-tests of the locus's necessary-vanishing invariants, at a
+    form or at an ``Evaluator`` of one."""
+    ev = _admit(source, genus, "vanishing profile")
     names = VANISHING_BY_GENUS[genus]
-    inv = InvariantSet(degree=ev.degree, **{name: ev.invariant(name) for name in names})
+    inv = ev.invariant_set(*names)
     return [(name, _is_zero(inv.value(name))) for name in names]

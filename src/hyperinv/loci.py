@@ -23,7 +23,7 @@ from math import isqrt
 from operator import add
 
 from .a4 import M_FACTOR_GENERA, rational_model
-from .catalogue import (CLASSIFIER_BRANCHES, SUPPORTED_GENERA, ModuliPoint,
+from .catalogue import (CLASSIFIER_BRANCHES, SUPPORTED_GENERA, Evaluator, ModuliPoint,
                         absolute_invariants, classify_point, vanishing_profile)
 from .errors import (DomainError, GenusError, InputError, OffLocusError,
                      PoleError, RecoveryError)
@@ -207,8 +207,7 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
         raise GenusError(f"genus {genus} locus is a single point; no parameter to recover")
     values = _values(point, (1, 2), "parameter recovery")
     if len(values) == 1:
-        hits = [sv.mu for sv in entry.special_values
-                if values[0] in (sv.recomputed, sv.published)]
+        hits = [sv.mu for sv in entry.special_values if values[0] == sv.value]
         if not hits:
             raise OffLocusError(
                 f"one-component point {values[0]} matches no recorded special value "
@@ -388,11 +387,12 @@ def verify_genus(genus: int, table: LocusTable | None = None) -> list[dict]:
     if entry.published_variants:
         report("published-variants-on-record", "info", str(entry.published_variants))
 
-    F = rational_model(genus, Poly.x())
-    profile = vanishing_profile(F, genus)
+    # one evaluation of the symbolic model serves every check that reads it
+    ev = Evaluator(rational_model(genus, Poly.x()))
+    profile = vanishing_profile(ev, genus)
     report("vanishing-profile-identically", all(v for _, v in profile), str(profile))
 
-    point = classify_point(F, genus)
+    point = classify_point(ev, genus)
     for which, got, expected in zip(("first", "second"), point.values,
                                     (entry.p1, entry.p2), strict=True):
         report(f"parametrization-{which}-component", got == expected,
@@ -408,7 +408,7 @@ def verify_genus(genus: int, table: LocusTable | None = None) -> list[dict]:
     if entry.constraint:
         # v3 = I6/I6p as a rational function of mu; rel(v3) must vanish mod cubic
         cubic, rel = entry.constraint.parameter_poly, entry.constraint.relation
-        v3 = absolute_invariants(F).v3
+        v3 = absolute_invariants(ev.invariant_set("I6", "I6p")).v3
         acc = reduce(add, (c * v3.num ** k * v3.den ** (rel.degree - k)
                            for k, c in enumerate(rel.coeffs)), Poly())
         report("constraint-branch-relation", (acc % cubic).is_zero,

@@ -19,11 +19,18 @@ from .record import ExactField, ExactRing
 from .scalars import Cyclo, power
 
 
+#: the entry types that ``convolve`` multiplies in integers
+_RATIONALS = frozenset((int, Fraction))
+
+
 def convolve(a, b) -> list:
     """The coefficient list of the product of two coefficient sequences,
     lowest degree first.  A zero factor on either side is skipped (by
     truthiness, which is far cheaper than ``== 0`` on a Cyclo), so a slot that
-    no product reaches stays the int 0."""
+    no product reaches stays the int 0.  Two lists of ints and Fractions are
+    multiplied in integers (``_rational_convolve``), with the same result."""
+    if _RATIONALS.issuperset(map(type, a)) and _RATIONALS.issuperset(map(type, b)):
+        return _rational_convolve(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -31,6 +38,34 @@ def convolve(a, b) -> list:
                 if y:
                     out[i + j] = out[i + j] + x * y
     return out
+
+
+def _rational_convolve(a, b) -> list:
+    """``convolve`` of two int/Fraction lists: each list is cleared to
+    integers over one common denominator, the integer lists are convolved,
+    and each slot is divided back once.  Each slot has the type the generic
+    loop gives it: a Fraction where a Fraction factor reaches it, else an int
+    (the int 0 where no product reaches it)."""
+    den_a = _int_lcm(*[c.denominator for c in a])
+    den_b = _int_lcm(*[c.denominator for c in b])
+    ints_b = []
+    reach_b = fraction_b = 0        # bit j: b[j] is nonzero; a nonzero Fraction
+    for j, y in enumerate(b):
+        if y:
+            ints_b.append((j, y.numerator * (den_b // y.denominator)))
+            reach_b |= 1 << j
+            if type(y) is Fraction:
+                fraction_b |= 1 << j
+    sums = [0] * (len(a) + len(b) - 1)
+    fraction = 0                    # bit k: a Fraction factor reaches slot k
+    for i, x in enumerate(a):
+        if x:
+            fraction |= (reach_b if type(x) is Fraction else fraction_b) << i
+            x = x.numerator * (den_a // x.denominator)
+            for j, y in ints_b:
+                sums[i + j] += x * y
+    den = den_a * den_b
+    return [Fraction(s, den) if fraction >> k & 1 else s // den for k, s in enumerate(sums)]
 
 
 class Poly(ExactRing):

@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the form layer.
 
 Deliberately a different representation from the kernel (sparse monomial
-dicts {(i, j): coeff} for c * X^i Z^j) so agreement is meaningful.
+dicts {(i, j): coeff} for c * X^i Z^j) so agreement is meaningful.  The one
+exception is ``naive_convolve``, the generic product loop on coefficient
+lists, kept as the reference for the kernel's integer path.
 """
 
 from fractions import Fraction
@@ -80,3 +82,16 @@ def naive_substitute(fd, a, b, c, d):
                        * comb(j, q) * c**q * d**(j - q))
                 out[key] = out.get(key, 0) + val
     return {k: v for k, v in out.items() if v != 0}
+
+
+def naive_convolve(a, b):
+    """Product of two coefficient lists (lowest degree first), one scalar
+    product at a time; a zero factor is skipped, so a slot no product
+    reaches stays the int 0."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out

@@ -167,6 +167,14 @@ def test_recover_rejects_mu_zero_where_the_model_is_no_curve(tmp_path):
     assert report["error"]["name"] == "OffLocusError"
 
 
+def test_recover_refuses_the_published_genus9_constant(tmp_path):
+    # the published special value, wrong in sign; mu = -836/3 gives 2187/309760
+    code, report = run_cli(tmp_path, {"command": "recover",
+                                      "payload": {"genus": 9, "p": ["-309760/2187"]}})
+    assert code == 1
+    assert report["error"]["name"] == "OffLocusError"
+
+
 def test_recover_round_trip_via_cli(tmp_path):
     from hyperinv import locus_parametrization
     point = locus_parametrization(9, Fraction(7, 2))

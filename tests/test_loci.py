@@ -10,7 +10,7 @@ from hyperinv import (CubicConstraint, DomainError, GenusError, UndefinedInvaria
                       genus5_locus_is_singular, genus5_locus_residual,
                       genus5_singular_point_analysis, load_locus_table,
                       locus_parametrization, rational_model, ratfunc_eval,
-                      recover_mu, verify_genus)
+                      recover_mu, transvect, verify_genus)
 
 
 def test_table_loads_and_versions():
@@ -199,6 +199,16 @@ def test_recover_mu_special_single_component():
     assert Fraction(-924, 5) in mus
 
 
+def test_recover_mu_single_component_reads_the_active_value():
+    # genus 9 records the published -309760/2187 next to the recomputed
+    # 2187/309760 that the parametrization gives at mu = -836/3; only the
+    # recomputed one is on the locus
+    assert locus_parametrization(9, Fraction(-836, 3)).values == (Fraction(2187, 309760),)
+    assert recover_mu(9, (Fraction(2187, 309760),)) == [Fraction(-836, 3)]
+    with pytest.raises(OffLocusError):
+        recover_mu(9, (Fraction(-309760, 2187),))
+
+
 def test_recover_mu_singular_fiber():
     # (0, 1/84) is the image of mu = 484/5 (a double root upstream)
     point = locus_parametrization(5, Fraction(484, 5))
@@ -306,3 +316,26 @@ def test_verify_genus_check_sequence_and_cli_agree(tmp_path):
         checks = verify_genus(genus)
         assert [(c["name"], c["status"]) for c in checks] == expected, genus
         assert report["result"] == {"genus": genus, "checks": checks}
+
+
+#: transvections in one verify_genus call: each catalogue node of the symbolic
+#: model once, plus those of the special values' rational models
+VERIFY_TRANSVECTIONS = {4: 7, 5: 14, 7: 14, 8: 14, 9: 14, 10: 14, 12: 16}
+
+
+def test_verify_genus_transvects_no_node_twice(monkeypatch):
+    from hyperinv import catalogue
+    calls = []
+
+    def counting(f, g, r):
+        calls.append((f.form, g.form, r))
+        return transvect(f, g, r)
+
+    monkeypatch.setattr(catalogue, "transvect", counting)
+    counts = {}
+    for genus in VERIFY_TRANSVECTIONS:
+        calls.clear()
+        verify_genus(genus)
+        counts[genus] = len(calls)
+        assert len(set(calls)) == len(calls), genus
+    assert counts == VERIFY_TRANSVECTIONS

@@ -9,6 +9,7 @@ from hyperinv import (BinaryForm, Cyclo, ExactDivisionError, PoleError, Poly, Ra
 from hyperinv import polynomials
 
 from conftest import rationals
+from oracles import naive_convolve
 
 
 def polys(max_deg=5, bound=10):
@@ -186,6 +187,36 @@ def test_convolve_skips_zero_factors_and_leaves_unreached_slots_int():
 
 def test_poly_product_leaves_unreached_slots_int():
     assert repr(MU * MU) == "Poly([0, 0, Fraction(1, 1)])"
+
+
+#: an int, a Fraction, or one of the two zeros, so lists mix all four
+_rational_entries = st.one_of(st.integers(-10**6, 10**6), rationals(10**6, 10**4),
+                              st.sampled_from((0, Fraction(0))))
+
+
+@given(st.lists(_rational_entries, max_size=8), st.lists(_rational_entries, max_size=8))
+@settings(max_examples=300)
+def test_rational_convolve_matches_the_generic_loop(a, b):
+    # repr compares each slot's type (int or Fraction) as well as its value
+    assert repr(polynomials.convolve(a, b)) == repr(naive_convolve(a, b))
+
+
+def test_rational_convolve_slot_types():
+    # slot 1 only int x int, slot 2 int x Fraction, slot 3 unreached
+    assert repr(polynomials.convolve([2, 0, Fraction(1, 2)], [3, 5, 0, 0])) == \
+        "[6, 10, Fraction(3, 2), Fraction(5, 2), 0, 0]"
+    # a Fraction sum of zero stays a Fraction, an int sum of zero an int
+    assert repr(polynomials.convolve([1, 1], [1, -1])) == "[1, 0, -1]"
+    assert repr(polynomials.convolve([Fraction(1), 1], [1, -1])) == \
+        "[Fraction(1, 1), Fraction(0, 1), -1]"
+
+
+def test_ratfunc_difference_keeps_its_zero_slot_types():
+    # slot 0 of the numerator is the int 0 (no product reaches it), slot 1
+    # is Fraction(0, 1) (two Fraction products cancel there)
+    diff = Poly.x() - RatFunc(Poly.x(), Poly((1, 3)))
+    assert repr(diff) == ("RatFunc(Poly([0, Fraction(0, 1), Fraction(1, 1)]), "
+                          "Poly([Fraction(1, 3), Fraction(1, 1)]))")
 
 
 def test_poly_product_with_other_types():
