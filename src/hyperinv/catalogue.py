@@ -37,7 +37,6 @@ v4 is used).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 
 from .errors import GenusError, UndefinedInvariantError, UnsupportedDegreeError
@@ -218,8 +217,6 @@ class AbsoluteInvariants(Record):
 def _ratio(num, den):
     """Exact ratio; RatFunc when the invariants live in Q[mu]."""
     if isinstance(num, Poly) or isinstance(den, Poly):
-        num = num if isinstance(num, Poly) else Poly((Fraction(num),))
-        den = den if isinstance(den, Poly) else Poly((Fraction(den),))
         return RatFunc(num, den)
     return num / den
 

@@ -2,7 +2,7 @@
 dihedral-invariant coordinates on their moduli, the residual H-action on
 normal-form coefficients, and recovery of a normal form from the invariants.
 
-Normal forms (coefficients a_1..a_delta over a field, delta = t-1):
+Normal forms of genus g >= 2 (coefficients a_1..a_delta over a field, delta = t-1):
 
     case 1 (n | 2g+2, t = (2g+2)/n):  Y^2 = X^(nt) + a_1 X^(n(t-1)) + ... + a_delta X^n + 1
     case 2 (n | 2g+1, t = (2g+1)/n):  Y^2 = X^(nt) + ... + 1
@@ -44,24 +44,28 @@ class CyclicNormalForm(Record):
         return self.t - 1
 
 
+#: case -> (k, text): the case needs n | 2g + k, and t = (2g + k)/n
+_CASE_DEGREE = {1: (2, "2g+2"), 2: (1, "2g+1"), 3: (0, "2g")}
+
+
 def _case_t(case: int, n: int, g: int) -> int:
-    if case == 1:
-        num, what = 2 * g + 2, "2g+2"
-    elif case == 2:
-        num, what = 2 * g + 1, "2g+1"
-    elif case == 3:
-        num, what = 2 * g, "2g"
-    else:
+    if case not in _CASE_DEGREE:
         raise ConstraintError(f"case must be 1, 2 or 3, got {case}")
+    if g < 2:
+        raise ConstraintError(f"genus must be >= 2, got {g}")
     if n < 2:
         raise ConstraintError(f"cyclic order n must be >= 2, got {n}")
+    k, what = _CASE_DEGREE[case]
+    num = 2 * g + k
     if num % n:
         raise ConstraintError(f"case {case} needs n | {what}: {n} does not divide {num}")
     return num // n
 
 
 def make_normal_form(case: int, n: int, g: int, coeffs) -> CyclicNormalForm:
-    """Validated constructor; coeffs are a_1..a_delta."""
+    """Validated constructor; coeffs are a_1..a_delta.  Raises ConstraintError
+    for g < 2, a case outside 1..3, n < 2, n not dividing the case's degree, or
+    a coefficient count other than delta."""
     t = _case_t(case, n, g)
     coeffs = tuple(coeffs)
     if len(coeffs) != t - 1:
@@ -155,18 +159,18 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
     """One normal form in the H-orbit determined by nonzero dihedral invariants
     (or the unique one of a delta = 0 row, for u = ()).
 
-    a_delta^t satisfies 2^t z^2 - 2^t u_1 z + u_delta^t = 0; interior pairs
-    (a_i, a_(t-i)) come from 2x2 linear systems with determinant
-    a_1^t - a_delta^t.  Palindromic families make those systems singular but
-    consistent; the symmetric (or antisymmetric) solution is taken there.
+    a_delta^t satisfies 2^t z^2 - 2^t u_1 z + u_delta^t = 0; each interior pair
+    (a_i, a_(t-i)) comes from a 2x2 linear system with determinant
+    a_1^t - a_delta^t.  Where that vanishes, a_delta = ±a_1 (the roots are
+    rational once t > 2), and the pair is taken symmetric, a_(t-i) = a_i, or
+    else antisymmetric, a_(t-i) = -a_i, whichever the invariants admit.
     Raises ReconstructionError (carrying the obstructing polynomial) when the
     required roots do not exist in Q, or in Q(i, sqrt3) for t = 2.
     """
     values = tuple(u.values if isinstance(u, DihedralInvariants) else u)
     t = _case_t(case, n, g)
-    delta = t - 1
-    if len(values) != delta:
-        raise ConstraintError(f"expected {delta} invariants for case {case}, n={n}, g={g}; got {len(values)}")
+    if len(values) != t - 1:
+        raise ConstraintError(f"expected {t - 1} invariants for case {case}, n={n}, g={g}; got {len(values)}")
     if not values:      # delta = 0: the normal form has no coefficient
         return make_normal_form(case, n, g, ())
     if not all(isinstance(v, (int, Fraction)) for v in values):
@@ -175,7 +179,7 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
         raise ReconstructionError(
             "u = 0 corresponds to the a_1 = a_delta = 0 sub-family, which these "
             "invariants do not coordinatize")
-    u1, ud = Fraction(values[0]), Fraction(values[delta - 1])
+    u1, ud = Fraction(values[0]), Fraction(values[-1])
 
     # roots of z^2 - u1 z + (ud/2)^t
     half_pow = (ud / 2) ** t
@@ -190,7 +194,7 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
     failures = []
     for z in z_roots:
         try:
-            return _solve_from_z(z, values, t, delta, case, n, g)
+            return _solve_from_z(z, values, t, case, n, g)
         except ReconstructionError as exc:
             failures.append(exc)
     raise failures[-1]
@@ -200,90 +204,67 @@ def reconstruct_from_u(u, case: int, n: int, g: int) -> CyclicNormalForm:
 _UNIT_SQUARES = ((-1, Cyclo.i()), (3, Cyclo.sqrt3()), (-3, Cyclo.i_sqrt3()))
 
 
-def _tth_root(z: Fraction, t: int):
-    """A t-th root of z in Q, else in Q(i, sqrt3) for t = 2, else None."""
+def _tth_root(z: Fraction, t: int, name: str):
+    """A t-th root of z in Q, else in Q(i, sqrt3) for t = 2.  Without one it
+    raises the ReconstructionError carrying x^t - z, naming ``name``^t = z."""
     r = rational_root(z, t)
-    if r is not None or t != 2:
+    if r is not None:
         return r
-    for square, unit in _UNIT_SQUARES:
-        m = rational_root(z / square, 2)
-        if m is not None:
-            return m * unit
-    return None
+    if t == 2:
+        for square, unit in _UNIT_SQUARES:
+            m = rational_root(z / square, 2)
+            if m is not None:
+                return m * unit
+    raise ReconstructionError(
+        f"no t-th root of {name}^t = {z} in the supported fields",
+        minimal_polynomial=tuple([-z] + [0] * (t - 1) + [1]))
 
 
-def _solve_from_z(z, values, t, delta, case, n, g):
-    u1 = Fraction(values[0])
-    ud = Fraction(values[delta - 1])
-    ad = _tth_root(z, t)
-    if ad is None:
-        raise ReconstructionError(
-            f"no t-th root of a_delta^t = {z} in the supported fields",
-            minimal_polynomial=tuple([-z] + [0] * (t - 1) + [1]))
-    if ad == 0:
-        if ud != 0:
-            raise ReconstructionError("a_delta = 0 forces u_delta = 0; invariants inconsistent")
-        a1 = _tth_root(u1, t)
-        if a1 is None:
-            raise ReconstructionError(
-                f"no t-th root of a_1^t = {u1} in the supported fields",
-                minimal_polynomial=tuple([-u1] + [0] * (t - 1) + [1]))
-    else:
-        a1 = (ud / 2) / ad
+def _solve_from_z(z, values, t, case, n, g):
+    u1, ud = Fraction(values[0]), Fraction(values[-1])
+    ad = _tth_root(z, t, "a_delta")
+    # a_delta = 0 only for z = 0, which solves the z-quadratic only when u_delta = 0
+    a1 = _tth_root(u1, t, "a_1") if ad == 0 else (ud / 2) / ad
 
-    coeffs = [None] * delta
+    coeffs = [None] * (t - 1)
     coeffs[0] = a1
-    coeffs[delta - 1] = ad
+    coeffs[-1] = ad
     det = a1 ** t - ad ** t
-    for i in range(2, delta // 2 + 2):
+    for i in range(2, t // 2 + 1):
         j = t - i  # partner index
-        if i > j:
-            break
         ui, uj = values[i - 1], values[j - 1]
-        A, B = a1 ** (t - i), ad ** (t - i)
+        A, B = a1 ** j, ad ** j
         C, D = ad ** i, a1 ** i
         if i == j:
-            denom = A + B
-            if denom != 0:
-                coeffs[i - 1] = ui / denom
+            if A + B != 0:
+                coeffs[i - 1] = ui / (A + B)
             elif ui == 0:
                 coeffs[i - 1] = Fraction(0)
             else:
                 raise ReconstructionError(
-                    f"singular middle equation for a_{i}: a_1^{t - i} + a_delta^{t - i} = 0 "
+                    f"singular middle equation for a_{i}: a_1^{j} + a_delta^{j} = 0 "
                     f"but u_{i} != 0")
-            continue
-        if det != 0:
+        elif det != 0:
             coeffs[i - 1] = (D * ui - B * uj) / det
             coeffs[j - 1] = (A * uj - C * ui) / det
-            continue
-        # singular pair: try the symmetric then the antisymmetric solution
-        if A + B != 0:
-            x = ui / (A + B)
-            if C * x + D * x == uj:
-                coeffs[i - 1] = coeffs[j - 1] = x
-                continue
-        if A - B != 0:
-            x = ui / (A - B)
-            if C * x - D * x == uj:
-                coeffs[i - 1] = x
-                coeffs[j - 1] = -x
-                continue
-        raise ReconstructionError(
-            f"singular pair (a_{i}, a_{j}): a_1^t = a_delta^t and the invariants "
-            f"(u_{i}, u_{j}) are inconsistent with any symmetric solution")
+        else:  # a_delta^j = s a_1^j for one sign s: symmetric (s = 1) or antisymmetric
+            for s in (1, -1):
+                if A + s * B != 0 and C * (x := ui / (A + s * B)) + s * D * x == uj:
+                    coeffs[i - 1], coeffs[j - 1] = x, s * x
+                    break
+            else:
+                raise ReconstructionError(
+                    f"singular pair (a_{i}, a_{j}): a_1^t = a_delta^t and the invariants "
+                    f"(u_{i}, u_{j}) are inconsistent with any symmetric solution")
 
     nf = CyclicNormalForm(case=case, n=n, genus=g, coeffs=tuple(coeffs))
-    _verify_roundtrip(nf, values)
-    return nf
-
-
-def _verify_roundtrip(nf, values):
+    # a guard: each step above solves its equations exactly, so no input fails it today
     got = dihedral_invariants(nf).values
-    if tuple(got) != tuple(values):
+    if got != values:
         raise ReconstructionError(
             "no normal form over the supported fields has these dihedral invariants "
             f"(round-trip gave {got})")
+    return nf
 
 
 # -- the paper's group table -------------------------------------------------

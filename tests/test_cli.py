@@ -94,6 +94,17 @@ def test_reconstruct_answers_delta_zero_rows(tmp_path):
         assert (code, report["status"], report["result"]["coeffs"]) == (0, "ok", [])
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("dihedral", {"case": 1, "n": 2, "genus": 1, "coeffs": ["3"]}),
+    ("reconstruct", {"u": ["18"], "case": 1, "n": 2, "genus": 1}),
+    ("dihedral", {"case": 3, "n": 2, "genus": -1, "coeffs": []}),
+])
+def test_normal_forms_below_genus_two_exit_1(tmp_path, command, payload):
+    code, report = run_cli(tmp_path, {"command": command, "payload": payload})
+    assert (code, report["status"], report["error"]["name"]) == (1, "error", "ConstraintError")
+    assert report["error"]["message"] == f"genus must be >= 2, got {payload['genus']}"
+
+
 def test_invariants_rejects_odd_degree(tmp_path):
     req = {"command": "invariants",
            "payload": {"degree": 5, "ring": "Q",

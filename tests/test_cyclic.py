@@ -11,7 +11,7 @@ from hyperinv import (BinaryForm, ConstraintError, Cyclo, DihedralInvariants,
                       h_action, make_normal_form, normal_form_polynomial,
                       reconstruct_from_u, roots_of_unity,
                       signature_row, tau1, tau2)
-from hyperinv.cyclic import MAX_GENUS
+from hyperinv.cyclic import MAX_GENUS, CyclicNormalForm
 
 from conftest import nonzero_fraction, rationals
 
@@ -100,6 +100,7 @@ def test_tau1_minus_one_action():
     moved2 = tau1(nf2, -1)
     # exponents 3(t-i) mod 4 for i = 1, 2, 3: odd, even, odd
     assert moved2.coeffs == (Fraction(-2), Fraction(5), Fraction(-7))
+    assert h_action(nf2, ("tau1", -1)) == moved2
     assert dihedral_invariants(moved2).values == dihedral_invariants(nf2).values
 
 
@@ -109,6 +110,8 @@ def test_tau1_rejects_non_roots():
         tau1(nf, Fraction(2))
     with pytest.raises(ConstraintError):
         tau1(nf, Cyclo.i())  # i^6 = -1 != 1
+    with pytest.raises(ConstraintError):
+        tau1(nf, 1.0)        # a float is no exact root of unity
     with pytest.raises(ConstraintError):
         h_action(nf, "tau3")
     with pytest.raises(ConstraintError):
@@ -328,3 +331,51 @@ def test_reconstruct_t2_without_square_root_reports_polynomial():
     with pytest.raises(ReconstructionError) as err:
         reconstruct_from_u((Fraction(5),), 1, 3, 2)
     assert err.value.minimal_polynomial == (Fraction(-5, 2), 0, 1)
+
+
+def test_reconstruct_antisymmetric_singular_pair():
+    # a_1 = -a_delta makes every pair singular; (a_3, a_5) has odd j = 5, so
+    # only the antisymmetric solution a_5 = -a_3 is left
+    u = dihedral_invariants(make_normal_form(1, 2, 7, (1, 2, 3, 4, 5, 6, -1)))
+    nf = reconstruct_from_u(u, 1, 2, 7)
+    assert nf.coeffs == (-1, 4, 1, 4, -1, 4, 1)
+    assert nf.coeffs[4] == -nf.coeffs[2]
+    assert dihedral_invariants(nf).values == u.values
+
+
+def test_reconstruct_singular_middle_equation():
+    # a_delta = -a_1 at t = 6: a_1^3 + a_delta^3 = 0, so u_3 must vanish
+    u = dihedral_invariants(make_normal_form(1, 2, 5, (1, 2, 3, 4, -1)))
+    nf = reconstruct_from_u(u, 1, 2, 5)
+    assert nf.coeffs == (-1, 3, 0, 3, 1)
+    assert dihedral_invariants(nf).values == u.values
+    with pytest.raises(ReconstructionError, match="singular middle equation for a_3"):
+        reconstruct_from_u((2, 4, 1, 4, -2), 1, 2, 5)
+
+
+def test_reconstruct_inconsistent_singular_pair():
+    with pytest.raises(ReconstructionError, match=r"singular pair \(a_2, a_3\)"):
+        reconstruct_from_u((2, 1, 0, 2), 3, 2, 5)
+
+
+def test_reconstruct_without_rational_cube_root_reports_polynomial():
+    with pytest.raises(ReconstructionError,
+                       match="no t-th root of a_delta\\^t = 2 ") as err:
+        reconstruct_from_u((2, 0), 1, 2, 2)
+    assert err.value.minimal_polynomial == (-2, 0, 0, 1)
+
+
+def test_reconstruct_rejects_non_rational_invariants():
+    with pytest.raises(ConstraintError):
+        reconstruct_from_u((Cyclo.i(), 1, 2), 1, 2, 3)
+
+
+@pytest.mark.parametrize("case,n,g,coeffs", [(1, 2, 1, (3,)), (1, 2, 0, ()),
+                                             (3, 2, -1, ()), (2, 3, 1, ())])
+def test_normal_forms_need_genus_two(case, n, g, coeffs):
+    with pytest.raises(ConstraintError, match=f"genus must be >= 2, got {g}"):
+        make_normal_form(case, n, g, coeffs)
+    with pytest.raises(ConstraintError, match=f"genus must be >= 2, got {g}"):
+        reconstruct_from_u(coeffs, case, n, g)
+    with pytest.raises(ConstraintError):
+        CyclicNormalForm(case=case, n=n, genus=g, coeffs=coeffs).t
