@@ -18,8 +18,8 @@ from .cyclic import (CyclicNormalForm, DihedralInvariants, SignatureRow,
                      h_action, make_normal_form, normal_form_polynomial,
                      reconstruct_from_u, signature_row, tau1, tau2)
 from .errors import (ConstraintError, DomainError, ExactDivisionError,
-                     GenusError, InputError, OffLocusError, PoleError,
-                     ReconstructionError, RecoveryError, SingularMatrixError,
+                     GenusError, InputError, OffLocusError, OutputSizeError,
+                     PoleError, ReconstructionError, RecoveryError, SingularMatrixError,
                      TransvectionError, UndefinedInvariantError,
                      UnsupportedDegreeError)
 from .forms import BinaryForm, Covariant, gl2_act, transvect

@@ -68,5 +68,10 @@ class RecoveryError(DomainError):
     """Parameter recovery has no finite answer: the fiber is not finite."""
 
 
+class OutputSizeError(DomainError):
+    """An exact integer in an answer has more digits than the interpreter
+    converts to text (``sys.get_int_max_str_digits``)."""
+
+
 class InputError(ValueError):
     """Malformed request payload (CLI exit code 2)."""

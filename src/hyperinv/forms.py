@@ -13,6 +13,12 @@ for f, g of orders n, m.  It is bilinear, satisfies (f,g)^r = (-1)^r (g,f)^r,
 and under X -> aX+bZ, Z -> cX+dZ picks up det(M)^r:
 (f∘M, g∘M)^r = det(M)^r * (f,g)^r ∘ M.
 
+By the same symmetry, when f = g and r is even the k-th and (r-k)-th terms
+of the sum are one product with one sign, so ``transvect`` sums k = 0..r/2
+only, each k < r/2 weighted 2 (-1)^k C(r,k) and the middle term
+(-1)^(r/2) C(r, r/2).  The pairs reach the same slots, so every slot keeps
+the type the full sum gives it.
+
 Coefficients may live in any exact commutative ring containing Q (Fraction,
 Cyclo, Poly over either); the factorial prefactor only ever divides by
 integers.
@@ -106,15 +112,6 @@ class BinaryForm(ExactRing):
         return BinaryForm(d - kx - kz, tuple(perm(i, kx) * perm(d - i, kz) * self.coeffs[i]
                                               for i in range(kx, d - kz + 1)))
 
-    def map_coeffs(self, fn) -> "BinaryForm":
-        return BinaryForm(self.degree, tuple(fn(c) for c in self.coeffs))
-
-    def binomial_coords(self):
-        """The b_i with a_i = C(d, i) b_i (a derived view, never stored)."""
-        d = self.degree
-        return tuple(c * Fraction(factorial(d - i) * factorial(i), factorial(d))
-                     for i, c in enumerate(self.coeffs))
-
 
 class Covariant(Record):
     """A form tagged with degree in the coefficients, order, and index."""
@@ -161,9 +158,13 @@ def transvect(f, g, r: int) -> Covariant:
             f"transvection index {r} exceeds an order (orders {n}, {m})")
     pref = Fraction(factorial(m - r) * factorial(n - r), factorial(n) * factorial(m))
     acc = BinaryForm(n + m - 2 * r, (0,) * (n + m - 2 * r + 1))
-    for k in range(r + 1):
+    # (f, f)^r, r even: each mirrored pair of k-terms once (module docstring)
+    paired = f.form is g.form and r % 2 == 0
+    for k in range(r // 2 + 1 if paired else r + 1):
         term = f.form.partial(r - k, k) * g.form.partial(k, r - k)
         sign = (-1) ** k * comb(r, k)
+        if paired and 2 * k < r:
+            sign *= 2
         acc = acc + term * sign
     return Covariant(
         form=acc * pref,

@@ -316,10 +316,6 @@ class RatFunc(ExactField):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_scalar(cls, q) -> "RatFunc":
-        return cls(Poly((Fraction(q),)))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero

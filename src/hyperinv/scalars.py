@@ -12,10 +12,11 @@ All values are immutable; all operations are pure.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ConstraintError, ExactDivisionError, InputError
+from .errors import ConstraintError, ExactDivisionError, InputError, OutputSizeError
 from .record import ExactField
 
 Rational = Fraction
@@ -37,10 +38,27 @@ def rational_from_str(text) -> Fraction:
 
 
 def rational_to_str(value: Fraction) -> str:
+    """The exact text "p/q" (or "p").  An integer longer than the interpreter
+    converts to text is an OutputSizeError that names its digit count."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:      # past sys.get_int_max_str_digits()
+        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+        raise OutputSizeError(
+            f"the answer holds an integer of {digits} decimal digits, more than the "
+            f"{sys.get_int_max_str_digits()} this interpreter converts to text") from None
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of |n| >= 1, found without converting it to text."""
+    n = abs(n)
+    k = (n.bit_length() - 1) * 30102 // 100000      # 30102/100000 < log10(2), so 10^k <= n
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return k + 1
 
 
 def canonical_order(values) -> list:
@@ -199,12 +217,6 @@ class Cyclo(ExactField):
     def conj_sqrt3(self) -> "Cyclo":
         """The automorphism sqrt3 -> -sqrt3."""
         return Cyclo(self.c0, self.c1, -self.c2, -self.c3)
-
-    def norm(self) -> Fraction:
-        """Product over the four conjugates; a rational of the same sign pattern."""
-        v = self * self.conj_i()          # lands in Q(sqrt3)
-        n = v * v.conj_sqrt3()            # rational
-        return n.as_rational()
 
     def inverse(self) -> "Cyclo":
         if not self:

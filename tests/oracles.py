@@ -3,11 +3,14 @@
 Deliberately a different representation from the kernel (sparse monomial
 dicts {(i, j): coeff} for c * X^i Z^j) so agreement is meaningful.  The one
 exception is ``naive_convolve``, the generic product loop on coefficient
-lists, kept as the reference for the kernel's integer path.
+lists, kept as the reference for the kernel's integer path.  The last
+section holds views of the kernel's value types that only the tests use.
 """
 
 from fractions import Fraction
 from math import comb, factorial
+
+from hyperinv import BinaryForm, Poly, RatFunc
 
 
 def form_to_dict(form):
@@ -95,3 +98,28 @@ def naive_convolve(a, b):
                 if y:
                     out[i + j] = out[i + j] + x * y
     return out
+
+
+# -- test-only views of the kernel's value types --------------------------------
+
+def binomial_coords(form):
+    """The b_i with a_i = C(d, i) b_i of a binary form."""
+    d = form.degree
+    return tuple(c * Fraction(factorial(d - i) * factorial(i), factorial(d))
+                 for i, c in enumerate(form.coeffs))
+
+
+def map_coeffs(form, fn):
+    """The binary form with fn applied to each coefficient."""
+    return BinaryForm(form.degree, tuple(fn(c) for c in form.coeffs))
+
+
+def ratfunc_from_scalar(q):
+    """The constant rational function q."""
+    return RatFunc(Poly((Fraction(q),)))
+
+
+def cyclo_norm(a):
+    """The product of the four conjugates of a in Q(i, sqrt3), a rational."""
+    v = a * a.conj_i()                # lands in Q(sqrt3)
+    return (v * v.conj_sqrt3()).as_rational()

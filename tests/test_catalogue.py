@@ -10,6 +10,8 @@ from hyperinv import (BinaryForm, GenusError, ModuliPoint, Poly,
                       locus_parametrization, rational_model, transvect,
                       vanishing_profile)
 from hyperinv import catalogue
+from hyperinv.catalogue import SUPPORTED_GENERA
+from hyperinv.loci import default_table
 
 from conftest import nonzero_fraction, random_fraction
 from oracles import form_to_dict, naive_transvect
@@ -267,6 +269,35 @@ def test_classify_constant_on_isomorphism_class():
         point2 = classify_point(moved, 5)
         if point2.case_tag == point.case_tag:
             assert point2.values == point.values
+
+
+def _invariance_points():
+    """Two seeded generic mu per classified genus, then each special mu of the
+    locus table: its special values and the rational roots of its degenerate
+    branch's linear factors.  Genus 4 has no defined classifier value."""
+    rng = random.Random(7)
+    not_invariant = pytest.mark.xfail(
+        strict=True, reason="the g = 10, I_12 = 0 branch reads I6star/I12ast, which "
+                            "is not weight-balanced, so not an invariant (ROADMAP item 7)")
+    for g in SUPPORTED_GENERA:
+        if g == 4:
+            continue
+        entry = default_table().entry(g)
+        for mu in (nonzero_fraction(rng, 9, 4), nonzero_fraction(rng, 9, 4)):
+            yield pytest.param(g, mu, id=f"g{g}-mu={mu}")
+        for sv in entry.special_values:
+            yield pytest.param(g, sv.mu, id=f"g{g}-special-mu={sv.mu}")
+        for p in entry.condition_factors:
+            if p.degree == 1:
+                mu = -p.coeffs[0] / p.coeffs[1]
+                yield pytest.param(g, mu, id=f"g{g}-degenerate-mu={mu}", marks=not_invariant)
+
+
+@pytest.mark.parametrize("g,mu", _invariance_points())
+def test_classify_invariant_under_scaling_and_gl2(g, mu):
+    F = rational_model(g, mu)
+    assert (classify_point(F, g) == classify_point(F * Fraction(-3, 2), g)
+            == classify_point(gl2_act(((2, 1), (1, 3)), F), g))
 
 
 def test_vanishing_profile_examples():

@@ -374,6 +374,36 @@ def test_unparsable_json_exits_2_with_one_line(text):
     assert err.startswith("malformed JSON") and err.count("\n") == 1
 
 
+#: a 2 KB request whose dihedral invariants have 6,000-digit integers
+_HUGE_OUTPUT = {"command": "dihedral", "payload": {
+    "case": 1, "n": 2, "genus": 5, "coeffs": ["7" * 1000, "3", "5", "3", "7" * 1000]}}
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this Python has no integer-to-text digit limit")
+
+
+@needs_digit_limit
+def test_integer_past_the_digit_limit_is_a_domain_error():
+    code, out, err = call_main(_HUGE_OUTPUT)
+    assert (code, err) == (1, "")
+    error = json.loads(out)["error"]
+    assert error["name"] == "OutputSizeError"
+    assert "6000 decimal digits" in error["message"]
+    # an over-long input integer is still malformed input
+    code, out, err = call_main({"command": "dihedral", "payload": {
+        **_HUGE_OUTPUT["payload"], "coeffs": ["7" * 5000, "3", "5", "3", "7"]}})
+    assert (code, out) == (2, "") and err.count("\n") == 1
+
+
+@needs_digit_limit
+def test_integer_past_the_digit_limit_keeps_the_other_batch_reports():
+    code, out, err = call_main([_CATALOGUE, _HUGE_OUTPUT], "--batch")
+    assert (code, err) == (1, "")
+    reports = json.loads(out)
+    assert [r["status"] for r in reports] == ["ok", "error"]
+    assert reports[0]["result"]["involutions"] == 7
+    assert reports[1]["error"]["name"] == "OutputSizeError"
+
+
 def test_unreadable_input_and_unwritable_output_exit_2(tmp_path):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'{"command": "\xff"}')

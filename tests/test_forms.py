@@ -8,8 +8,8 @@ from hyperinv import (BinaryForm, Covariant, Cyclo, Poly, SingularMatrixError,
                       TransvectionError, gl2_act, transvect)
 
 from conftest import rationals
-from oracles import (dict_to_coeffs, form_to_dict, naive_substitute,
-                     naive_transvect)
+from oracles import (binomial_coords, dict_to_coeffs, form_to_dict,
+                     naive_substitute, naive_transvect)
 
 
 def forms(degree, bound=8):
@@ -66,6 +66,28 @@ def test_transvectant_matches_naive_oracle(case):
     got = transvect(f, g, r).form
     exp = naive_transvect(form_to_dict(f), form_to_dict(g), n, m, r)
     assert list(got.coeffs) == dict_to_coeffs(exp, n + m - 2 * r)
+
+
+def ring_forms(scalars):
+    """Forms of order 0..8 over one ring, with zero coefficients drawn often."""
+    return st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.one_of(st.just(0), scalars), min_size=n + 1, max_size=n + 1).map(
+        lambda cs: BinaryForm(n, cs)))
+
+
+@settings(max_examples=60)
+@given(st.tuples(*map(ring_forms, RING_SCALARS)))
+def test_self_transvectant_matches_naive_oracle(ring_cases):
+    # transvect(f, f, r) sums each mirrored pair of k-terms once; a copy of f
+    # is another object, so transvect(f, copy, r) takes the full sum
+    for f in ring_cases:
+        n = f.degree
+        copy = BinaryForm(n, f.coeffs)
+        for r in range(n + 1):
+            got = transvect(f, f, r).form
+            exp = naive_transvect(form_to_dict(f), form_to_dict(f), n, n, r)
+            assert list(got.coeffs) == dict_to_coeffs(exp, 2 * n - 2 * r)
+            assert repr(got) == repr(transvect(f, copy, r).form)
 
 
 _I, _MU = Cyclo.i(), Poly.x()
@@ -167,7 +189,7 @@ def test_transformation_law(f, g, r, a, b, c, d):
 
 def test_binomial_coordinate_view():
     f = BinaryForm(4, (1, 8, 18, 8, 1))
-    b = f.binomial_coords()
+    b = binomial_coords(f)
     assert b == (1, 2, 3, 2, 1)  # a_i = C(4, i) b_i
     assert all(isinstance(x, Fraction) for x in b)
 
