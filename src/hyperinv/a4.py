@@ -24,16 +24,11 @@ from .catalogue import SUPPORTED_GENERA as A4_GENERA
 from .cyclic import group_row
 from .errors import ConstraintError, DomainError, GenusError, InputError, PoleError
 from .forms import BinaryForm
-from .polynomials import Poly, convolve
+from .polynomials import Poly, _exact, convolve
 from .scalars import Cyclo
 
 #: active, adjudicated model variants vs. verbatim published ones
 VARIANTS = ("adjudicated", "display")
-
-
-def _exact(x):
-    """An int as a Fraction; any other value unchanged."""
-    return Fraction(x) if isinstance(x, int) else x
 
 
 def _product(*factors):

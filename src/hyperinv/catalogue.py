@@ -215,7 +215,7 @@ class AbsoluteInvariants(Record):
 
 
 def _ratio(num, den):
-    """Exact ratio; RatFunc when the invariants live in Q[mu]."""
+    """Exact ratio; a RatFunc when the invariants are polynomials in a parameter."""
     if isinstance(num, Poly) or isinstance(den, Poly):
         return RatFunc(num, den)
     return num / den

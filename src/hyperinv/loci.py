@@ -15,9 +15,9 @@ table row holds, not on its genus.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import cache, reduce
-from importlib import resources
 from itertools import count
 from math import isqrt
 from operator import add
@@ -30,7 +30,7 @@ from .errors import (DomainError, GenusError, InputError, OffLocusError,
 from .polynomials import (Poly, RatFunc, _clear_to_int, poly_divides, poly_gcd,
                           square_free_part)
 from .record import Record
-from .scalars import canonical_order, rational_from_str
+from .scalars import Cyclo, canonical_order, rational_from_str
 from .serialize import field
 
 LOCUS_GENERA = SUPPORTED_GENERA
@@ -97,18 +97,15 @@ def _parse_ratfunc(obj) -> RatFunc:
     return RatFunc(_parse_poly(field(obj, "num")), _parse_poly(field(obj, "den")))
 
 
-def load_locus_table(path: str | None = None) -> LocusTable:
+def load_locus_table(path: str = os.path.join(os.path.dirname(__file__), "data",
+                                                "locus_table.json")) -> LocusTable:
     """Load the shipped fixture, or an override file; a malformed one raises
     InputError, ValueError (JSON, genus keys) or ExactDivisionError.
 
     ``special_condition.kind``/``.note`` and ``degenerate_branch.status`` are
     documentation and stay in the JSON only."""
-    if path is None:
-        text = resources.files("hyperinv").joinpath("data/locus_table.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    raw = json.loads(text)
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
     entries = {}
     for key, obj in field(raw, "genera", dict).items():
         g = int(key)
@@ -168,7 +165,7 @@ def locus_parametrization(genus: int, mu, table: LocusTable | None = None):
     entry = table.entry(genus)
     if entry.kind == "constant":
         return ModuliPoint(genus=genus, case_tag=f"g={genus}", values=(entry.value,))
-    mu = Fraction(mu)
+    mu = _rational(mu)
     if mu == 0 and genus in M_FACTOR_GENERA:
         raise DomainError(f"mu = 0 gives no genus-{genus} curve: the model's factor "
                           "M(mu) is the constant 1 there")
@@ -205,7 +202,7 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
     entry = table.entry(genus)
     if entry.kind == "constant":
         raise GenusError(f"genus {genus} locus is a single point; no parameter to recover")
-    values = _values(point, (1, 2), "parameter recovery")
+    values = tuple(map(_rational, _values(point, (1, 2), "parameter recovery")))
     if len(values) == 1:
         hits = [sv.mu for sv in entry.special_values if values[0] == sv.value]
         if not hits:
@@ -213,7 +210,7 @@ def recover_mu(genus: int, point, table: LocusTable | None = None):
                 f"one-component point {values[0]} matches no recorded special value "
                 f"for genus {genus}")
         return canonical_order(hits)
-    p1, p2 = Fraction(values[0]), Fraction(values[1])
+    p1, p2 = values
     n1 = entry.p1.num - p1 * entry.p1.den
     n2 = entry.p2.num - p2 * entry.p2.den
     if n1.is_zero or n2.is_zero:
@@ -248,6 +245,17 @@ def _values(point, sizes, who) -> tuple:
         words = "- or ".join(("one", "two")[n - 1] for n in sizes)
         raise DomainError(f"{who} needs a {words}-component point")
     return values
+
+
+def _rational(value) -> Fraction:
+    """A parameter or moduli value as a Fraction; an element of Q(i, sqrt3) is
+    a DomainError, because recovery over that field needs a root finder over
+    it, which this package does not have yet."""
+    if isinstance(value, Cyclo):
+        raise DomainError(f"{value} lies in Q(i, sqrt3): the locus table is evaluated "
+                          "and inverted over Q only; recovery over Q(i, sqrt3) is not "
+                          "supported yet")
+    return Fraction(value)
 
 
 def _rational_roots(p: Poly) -> list:

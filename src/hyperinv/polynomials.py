@@ -1,5 +1,5 @@
 """Dense univariate polynomials over an exact coefficient ring, and rational
-functions over Q.
+functions over the coefficient field.
 
 ``Poly`` is generic: coefficients only need exact +, -, *, a truth value,
 equality with 0/1, and (where a field is required) division.  In this kernel the coefficient
@@ -211,6 +211,11 @@ class Poly(ExactRing):
         return divmod(self, other)[1]
 
 
+def _exact(x):
+    """An int as a Fraction; any other value unchanged."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def _inverse(c):
     """1/c in the coefficient field (Fraction for int or Fraction c)."""
     return 1 / Fraction(c) if isinstance(c, (int, Fraction)) else c.inverse()
@@ -289,18 +294,19 @@ def poly_divides(d: Poly, p: Poly) -> bool:
 
 
 class RatFunc(ExactField):
-    """Rational function num/den over Q in canonical form (den monic, coprime)."""
+    """Rational function num/den over the coefficient field in canonical form
+    (den monic, coprime)."""
 
     __slots__ = ("num", "den")
-    _lifts = (Poly, int, Fraction)
+    _lifts = (Poly, int, Fraction, Cyclo)
 
     def __init__(self, num, den=None):
         if not isinstance(num, Poly):
-            num = Poly((Fraction(num),))
+            num = Poly((_exact(num),))
         if den is None:
             den = Poly((Fraction(1),))
         elif not isinstance(den, Poly):
-            den = Poly((Fraction(den),))
+            den = Poly((_exact(den),))
         if den.is_zero:
             raise ExactDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -311,7 +317,7 @@ class RatFunc(ExactField):
                 num, den = num // g, den // g
             lead = den.leading
             if lead != 1:
-                inv = Fraction(1) / Fraction(lead)
+                inv = _inverse(lead)
                 num, den = num * inv, den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -372,9 +378,10 @@ class RatFunc(ExactField):
             return RatFunc(self.den ** (-exponent), self.num ** (-exponent))
         return RatFunc(self.num ** exponent, self.den ** exponent)
 
-    def eval(self, x: Fraction) -> Fraction:
-        """Exact evaluation; raises PoleError at zeros of the denominator."""
-        x = Fraction(x)
+    def eval(self, x):
+        """Exact evaluation at a scalar of the coefficient field (an int as a
+        Fraction); raises PoleError at zeros of the denominator."""
+        x = _exact(x)
         d = self.den(x)
         if d == 0:
             raise PoleError(f"pole at x = {x}", at=x)

@@ -53,8 +53,8 @@ def rational_to_str(value: Fraction) -> str:
 
 
 def _decimal_digits(n: int) -> int:
-    """The number of decimal digits of |n| >= 1, found without converting it to text."""
-    n = abs(n)
+    """The number of decimal digits of |n| (1 for 0), found without converting it to text."""
+    n = abs(n) or 1
     k = (n.bit_length() - 1) * 30102 // 100000      # 30102/100000 < log10(2), so 10^k <= n
     while 10 ** (k + 1) <= n:
         k += 1
@@ -62,8 +62,19 @@ def _decimal_digits(n: int) -> int:
 
 
 def canonical_order(values) -> list:
-    """The distinct values, shortest exact text encoding first."""
-    return sorted(set(values), key=lambda q: (len(str(q)), str(q)))
+    """The distinct rationals, shortest exact text encoding first, then by that
+    text.  The length is counted in integers; two values of one length whose
+    text passes the interpreter's digit limit follow by value instead."""
+    return sorted(set(values), key=_text_key)
+
+
+def _text_key(q) -> tuple:
+    n, d = q.numerator, q.denominator
+    length = (n < 0) + _decimal_digits(n) + (0 if d == 1 else 1 + _decimal_digits(d))
+    try:
+        return length, 0, str(q)
+    except ValueError:      # past sys.get_int_max_str_digits()
+        return length, 1, q
 
 
 def _iroot(m: int, k: int) -> int:

@@ -5,11 +5,11 @@ import pytest
 from hyperinv import (BinaryForm, ConstraintError, Cyclo, DomainError,
                       GenusError, PoleError, Poly, RatFunc, a4_curve_model,
                       a4_genus_branch, a4_orbit, a4_orbit_polynomial, build_G,
-                      classify_point, covariant_catalogue, g_has_distinct_roots,
-                      gl2_act, klein_phi, locus_parametrization, rational_model,
+                      classify_point, covariant_catalogue, default_table,
+                      g_has_distinct_roots, gl2_act, klein_phi, rational_model,
                       signature_row)
 from hyperinv.a4 import M_FACTOR_GENERA, g_coefficients
-from hyperinv.catalogue import SUPPORTED_GENERA
+from hyperinv.catalogue import CLASSIFIER_BRANCHES, SUPPORTED_GENERA
 from hyperinv.cyclic import MAX_GENUS
 
 from conftest import nonzero_fraction
@@ -174,31 +174,23 @@ def test_display_variants_differ_and_fail_profiles():
         assert changed == {7, 10, 12}  # g = 9 shares the octic but keeps it
 
 
-def test_branch_model_classifies_like_the_locus_table():
-    # the branch-parameter model at rational lambda lands on the table entry at lambda^2
-    for lam in (Fraction(2), Fraction(3, 2)):
-        point = classify_point(a4_curve_model(5, [lam]), 5)
-        table_point = locus_parametrization(5, lam ** 2)
-        assert point.case_tag == table_point.case_tag
-        assert point.values == table_point.values
-
-
-@pytest.mark.parametrize("genus,lams", [(7, (Fraction(2), Fraction(-1, 2))),
-                                        (10, (Fraction(2),))])
-def test_branch_model_bridge_to_rational_parametrization(genus, lams):
-    """The Q(i, sqrt3) branch model at rational lambda matches the rational
-    parametrization evaluated at mu = -lambda*i*sqrt3/3 (the quartic-root
-    coordinate change relates the two models); genus 10 exercises the full
-    degree-22 catalogue over the number field."""
-    from hyperinv import default_table
+@pytest.mark.parametrize("genus,lam", [
+    *(pytest.param(g, Poly.x(), id=f"g{g}") for g in (5, 7, 8, 9, 10, 12)),
+    # the degree-22 catalogue over Q(i, sqrt3) scalars
+    pytest.param(10, Fraction(2), id="g10-cyclo-scalar"),
+])
+def test_branch_model_classifies_like_the_locus_table(genus, lam):
+    """Table 2's relation: classify_point of the branch model at lambda is the
+    locus-table entry at mu = lambda^2 (g = 5, 8, 9, 12), or at mu =
+    lambda/(i*sqrt3) (g = 7, 10; the quartic-root coordinate change).  With
+    lambda the generator of Q[lambda] it holds identically in lambda, over
+    Q(i, sqrt3)(lambda) at g = 7 and 10."""
+    point = classify_point(a4_curve_model(genus, [lam]), genus)
+    t = RatFunc(lam) if isinstance(lam, Poly) else lam
+    mu = t / Cyclo.i_sqrt3() if genus in (7, 10) else t * t
     entry = default_table().entry(genus)
-    scale = Cyclo(0, 0, 0, Fraction(-1, 3))
-    for lam in lams:
-        point = classify_point(a4_curve_model(genus, [lam]), genus)
-        mu = scale * lam
-        expected = (entry.p1.num(mu) / entry.p1.den(mu),
-                    entry.p2.num(mu) / entry.p2.den(mu))
-        assert point.values == expected
+    assert point.case_tag == CLASSIFIER_BRANCHES[genus][1][0]
+    assert point.values == (entry.p1.eval(mu), entry.p2.eval(mu))
 
 
 def test_klein_map_pinned_over_each_ring():

@@ -268,6 +268,32 @@ def test_model_admits_the_genus_before_reading_mu_and_variant(payload, code, nam
     assert json.loads(out)[0]["error"]["name"] == name
 
 
+def _invalid(message):
+    return 2, {"status": "invalid", "error": {"name": "InputError", "message": message}}
+
+
+@pytest.mark.parametrize("request_, code, report", [
+    ({"command": "model", "payload": {"family": "table2", "genus": 7,
+                                      "lambdas": [["1", "2", "0", "0"]]}},
+     0, {"status": "ok", "result": {"coeffs": [
+         ["1", "0", "0", "0"], "0", ["-1", "-2", "0", "2"], "0", ["-32", "0", "4", "-2"], "0",
+         ["1", "2", "0", "-66"], "0", ["-66", "0", "-8", "4"], "0", ["1", "2", "0", "-66"], "0",
+         ["-32", "0", "4", "-2"], "0", ["-1", "-2", "0", "2"], "0", ["1", "0", "0", "0"]],
+         "degree": 16, "genus": 7, "ring": "Qi_sqrt3"}}),
+    ({"command": "classify", "payload": {"degree": 2, "ring": "Q", "coeffs": ["1", "0", "1"]}},
+     *_invalid("classify needs the form's genus")),
+    ({"command": "model", "payload": {"family": "table3", "genus": 7}},
+     *_invalid("unknown model family 'table3'")),
+    ({"command": "recover", "payload": {"genus": 5, "p": ["1", "2", "3"]}},
+     *_invalid("p must be an array of one or two rational strings")),
+])
+def test_model_classify_and_recover_reports(request_, code, report):
+    got, out, err = call_main([request_], "--batch")
+    (answer,) = json.loads(out)
+    del answer["provenance"]
+    assert (got, err, answer) == (code, "", report)
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     inp = tmp_path / "in.json"
     inp.write_text('{"command": "classify", ')
@@ -402,6 +428,26 @@ def test_integer_past_the_digit_limit_keeps_the_other_batch_reports():
     assert [r["status"] for r in reports] == ["ok", "error"]
     assert reports[0]["result"]["involutions"] == 7
     assert reports[1]["error"]["name"] == "OutputSizeError"
+
+
+#: a 6 KB request whose z-roots have about 4,500 digits, past the digit limit,
+#: while its inputs and its answer a = (1 - x, x) stay under it
+_X = 10 ** 1500 + 7
+_ROOTS_PAST_THE_LIMIT = {"command": "reconstruct", "payload": {
+    "u": [str(_X ** 3 - (_X - 1) ** 3), str(-2 * _X * (_X - 1))],
+    "case": 1, "n": 2, "genus": 2}}
+
+
+def test_reconstruct_orders_roots_past_the_digit_limit():
+    code, out, err = call_main(_ROOTS_PAST_THE_LIMIT)
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["coeffs"] == [str(1 - _X), str(_X)]
+    code, out, err = call_main([_CATALOGUE, _ROOTS_PAST_THE_LIMIT], "--batch")
+    assert (code, err) == (0, "")
+    reports = json.loads(out)
+    assert [r["status"] for r in reports] == ["ok", "ok"]
+    assert reports[1]["result"] == result
 
 
 def test_unreadable_input_and_unwritable_output_exit_2(tmp_path):

@@ -5,9 +5,9 @@ from importlib import resources
 
 import pytest
 
-from hyperinv import (CubicConstraint, DomainError, GenusError, UndefinedInvariantError,
-                      OffLocusError, PoleError, Poly, classify_point, default_table,
-                      genus5_locus_is_singular, genus5_locus_residual,
+from hyperinv import (CubicConstraint, Cyclo, DomainError, GenusError, UndefinedInvariantError,
+                      OffLocusError, PoleError, Poly, a4_curve_model, classify_point,
+                      default_table, genus5_locus_is_singular, genus5_locus_residual,
                       genus5_singular_point_analysis, load_locus_table,
                       locus_parametrization, rational_model, ratfunc_eval,
                       recover_mu, transvect, verify_genus)
@@ -192,6 +192,18 @@ def test_recover_mu_needs_one_or_two_components():
     for genus, point in ((5, ()), (9, three)):
         with pytest.raises(DomainError, match="one- or two-component"):
             recover_mu(genus, point)
+
+
+def test_locus_table_refuses_a_point_over_q_i_sqrt3():
+    # the genus-7 branch model at lambda = 2 lies at mu = 2/(i*sqrt3), so its
+    # moduli point has two components in Q(i, sqrt3); no answer is guessed
+    mu = Fraction(2) / Cyclo.i_sqrt3()
+    point = classify_point(a4_curve_model(7, [Fraction(2)]), 7)
+    for call in (lambda: locus_parametrization(7, mu), lambda: recover_mu(7, point),
+                 lambda: recover_mu(5, (Cyclo(1, 1),))):
+        with pytest.raises(DomainError, match=r"Q\(i, sqrt3\)") as err:
+            call()
+        assert type(err.value) is DomainError
 
 
 def test_recover_mu_special_single_component():

@@ -153,6 +153,25 @@ def test_ratfunc_field_axioms(n1, d1, n2, d2, n3, d3):
     assert a / a == 1
 
 
+def cyclo_polys(max_deg=1):
+    coords = rationals(4, 3)
+    return st.lists(st.builds(Cyclo, coords, coords, coords, coords), min_size=1,
+                    max_size=max_deg + 1).map(Poly).filter(bool)
+
+
+@settings(max_examples=25)
+@given(cyclo_polys(), cyclo_polys(), cyclo_polys(), cyclo_polys())
+def test_ratfunc_over_cyclo_matches_cross_multiplication(n1, d1, n2, d2):
+    """Over Q(i, sqrt3)[mu] the sum, product and inverse are canonical (monic
+    denominator, coprime) and equal the cross-multiplied fraction."""
+    a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+    for got, num, den in ((a + b, n1 * d2 + n2 * d1, d1 * d2), (a * b, n1 * n2, d1 * d2),
+                          (a.inverse(), d1, n1)):
+        assert got.den.leading == 1
+        assert got.is_zero or poly_gcd(got.num, got.den).degree == 0
+        assert got.num * den == num * got.den
+
+
 def test_ratfunc_arithmetic_and_pow():
     f = RatFunc(MU, MU + 1)
     g = RatFunc(Poly((Fraction(1),)), MU + 1)

@@ -194,10 +194,11 @@ def test_post_init_checks_still_raise():
 
 
 def test_cli_import_pulls_in_no_dataclasses_or_inspect():
-    # -S keeps the host's site imports out of the check
+    # -S keeps the host's site imports out of the check; the locus table is
+    # read with open(), so importlib.resources stays out too
     src = str(Path(hyperinv.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import hyperinv.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
