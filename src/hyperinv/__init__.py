@@ -6,16 +6,12 @@ immutable and all operations pure, so callers may share and parallelize
 freely.
 """
 
-from .a4 import (a4_curve_model, a4_genus_branch, a4_orbit,
-                 a4_orbit_polynomial, build_G, g_has_distinct_roots,
-                 klein_phi, rational_model)
+from .a4 import a4_curve_model, build_G, g_has_distinct_roots, rational_model
 from .catalogue import (AbsoluteInvariants, InvariantSet, ModuliPoint,
                         absolute_invariants, classify_point,
-                        covariant_catalogue, catalogue_intermediates,
-                        vanishing_profile)
+                        covariant_catalogue, vanishing_profile)
 from .cyclic import (CyclicNormalForm, DihedralInvariants, SignatureRow,
-                     dihedral_invariants, extra_involution_condition,
-                     h_action, make_normal_form, normal_form_polynomial,
+                     dihedral_invariants, make_normal_form, normal_form_polynomial,
                      reconstruct_from_u, signature_row, tau1, tau2)
 from .errors import (ConstraintError, DomainError, ExactDivisionError,
                      GenusError, InputError, OffLocusError, OutputSizeError,
@@ -27,9 +23,8 @@ from .loci import (LOCUS_GENERA, CubicConstraint, LocusTable, default_table,
                    genus5_locus_is_singular, genus5_locus_residual,
                    genus5_singular_point_analysis, load_locus_table,
                    locus_parametrization, recover_mu, verify_genus)
-from .polynomials import Poly, RatFunc, poly_gcd, ratfunc_eval
-from .scalars import (Cyclo, Rational, rational_from_str, rational_to_str,
-                      root_of_unity, roots_of_unity)
+from .polynomials import Poly, RatFunc, poly_gcd
+from .scalars import Cyclo, rational_from_str, rational_to_str
 
 __version__ = "0.1.0"
 

@@ -15,17 +15,15 @@ models by the quartic-root coordinate change and satisfy it identically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from operator import mul
 
 from .catalogue import SUPPORTED_GENERA as A4_GENERA
 from .cyclic import group_row
-from .errors import ConstraintError, DomainError, GenusError, InputError, PoleError
+from .errors import ConstraintError, GenusError, InputError
 from .forms import BinaryForm
 from .polynomials import Poly, _exact, convolve
-from .scalars import Cyclo
 
 #: active, adjudicated model variants vs. verbatim published ones
 VARIANTS = ("adjudicated", "display")
@@ -40,19 +38,6 @@ def _product(*factors):
 #: N = X^12 - 33X^8 - 33X^4 + 1 and D = X^2 (X^4 - 1)^2 = X^10 - 2X^6 + X^2
 _KLEIN_NUM = Poly((1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1))
 _KLEIN_DEN = Poly((0, 0, 1, 0, 0, 0, -2, 0, 0, 0, 1))
-
-
-def klein_phi(t):
-    """The Klein map N(t)/D(t).
-
-    Exact on Fraction or Cyclo inputs; poles exactly at 0, +-1, +-i (and
-    infinity, which a scalar argument cannot represent).
-    """
-    t = _exact(t)
-    den = _KLEIN_DEN(t)
-    if den == 0:
-        raise PoleError(f"klein_phi has a pole at t = {t}", at=t)
-    return _KLEIN_NUM(t) / den
 
 
 def g_coefficients(lam):
@@ -73,7 +58,8 @@ def g_has_distinct_roots(lam) -> bool:
 
 
 #: the A4 orbit maps t -> (a t + b)/(c t + d), each a matrix (a, b, c, d)
-#: over Z[i] whose entries are written (real part, imaginary part)
+#: over Z[i] whose entries are written (real part, imaginary part); the
+#: tests' orbit oracle reads them, and an automorphism check of the models would
 _ORBIT_MAPS = (
     ("t", ((1, 0), (0, 0), (0, 0), (1, 0))),
     ("(t-i)/(t+i)", ((1, 0), (0, -1), (1, 0), (0, 1))),
@@ -90,73 +76,29 @@ _ORBIT_MAPS = (
 )
 
 
-def a4_orbit(t):
-    """The 12-point A4 orbit of t in Q(i, sqrt3).
-
-    Raises DomainError naming the first map whose denominator vanishes at t,
-    and on collisions (t at a fixed locus where orbit points collide).
-    """
-    if isinstance(t, (int, Fraction)):
-        t = Cyclo(t)
-    dens = [Cyclo(*c) * t + Cyclo(*d) for _, (_, _, c, d) in _ORBIT_MAPS]
-    for (name, _), den in zip(_ORBIT_MAPS, dens):
-        if den == 0:
-            raise DomainError(f"orbit undefined: {name} has a pole at t = {t}")
-    points = tuple((Cyclo(*a) * t + Cyclo(*b)) / den
-                   for (_, (a, b, _, _)), den in zip(_ORBIT_MAPS, dens))
-    seen = {}
-    for (name, _), p in zip(_ORBIT_MAPS, points):
-        if seen.setdefault(p.coords, name) != name:
-            raise DomainError(
-                f"orbit points collide at t = {t}: {seen[p.coords]} and {name} agree")
-    return points
-
-
-def a4_orbit_polynomial(t) -> BinaryForm:
-    """Monic product over the orbit; equals build_G(klein_phi(t)) exactly."""
-    poly = _product(*[(-alpha, Cyclo(1)) for alpha in a4_orbit(t)])
-    return BinaryForm.from_univariate(poly, 12)
-
-
 # -- models over Q(i, sqrt3) -------------------------------------------------
-
-def _a4_row(g: int):
-    """(group, row, delta) of ``cyclic.GROUP_ROWS`` for g mod 6; GenusError if
-    the row does not admit g."""
-    group = "Z2xA4" if g % 2 else "SL2(3)"
-    try:
-        row, delta = group_row(group, g)
-    except ConstraintError as exc:
-        raise GenusError(
-            f"A4 reduced-automorphism classification excludes g = {g}: {exc}") from None
-    return group, row, delta
-
 
 def a4_curve_model(g: int, lambdas) -> BinaryForm:
     """Branch-parameter model: prod_i G_(lambda_i) times the row prefactor.
 
     Row selection follows g mod 6 (1, 3, 5 for the seven-involution group;
     0, 2, 4 for the binary tetrahedral one); the lambda-list length must
-    equal the row dimension.
+    equal the row dimension.  One rule admits g: 2 <= g <= cyclic.MAX_GENUS,
+    and the dimension delta of the row for g mod 6 is >= 0 and not excluded
+    there (which leaves out g = 2, 3 and 6); any other g is a GenusError.
     """
     lambdas = [_exact(l) for l in lambdas]
-    group, row, delta = _a4_row(g)
+    group = "Z2xA4" if g % 2 else "SL2(3)"
+    try:
+        row, delta = group_row(group, g)
+    except ConstraintError as exc:
+        raise GenusError(
+            f"A4 reduced-automorphism classification excludes g = {g}: {exc}") from None
     if len(lambdas) != delta:
         raise GenusError(
             f"genus {g} ({group}) has dimension {delta}; got {len(lambdas)} branch parameters")
     poly = _product(*row.prefactor, *map(g_coefficients, lambdas))
     return BinaryForm.from_univariate(poly, 2 * g + 2)
-
-
-def a4_genus_branch(g: int):
-    """(|V ∩ W|, group tag, g mod 6) for the A4 tower.
-
-    One rule admits g: 2 <= g <= cyclic.MAX_GENUS, and the dimension delta
-    of the row for g mod 6 is >= 0 and not excluded there (which leaves out
-    g = 2, 3 and 6).  |V ∩ W| = 2g + 2 - 12 delta.
-    """
-    group, _, delta = _a4_row(g)
-    return 2 * g + 2 - 12 * delta, group, g % 6
 
 
 # -- rational models ---------------------------------------------------------

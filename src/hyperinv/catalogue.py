@@ -143,13 +143,6 @@ class InvariantSet(Record):
         return {k: getattr(self, k) for k in INVARIANT_KEYS}
 
 
-def catalogue_intermediates(F: BinaryForm) -> dict[str, Covariant]:
-    """The intermediate covariants J_{4j} (j=1..4), M, and S where defined."""
-    ev = Evaluator(F)
-    return {k: cov for k in ("J4", "J8", "J12", "J16", "M", "S")
-            if (cov := ev.covariant(k)) is not None}
-
-
 def covariant_catalogue(F: BinaryForm) -> InvariantSet:
     """All catalogue invariants of F that exist at its degree, exactly."""
     return Evaluator(F).invariant_set(*INVARIANT_KEYS)

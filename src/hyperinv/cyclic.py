@@ -91,19 +91,6 @@ def normal_form_polynomial(nf: CyclicNormalForm) -> BinaryForm:
 class DihedralInvariants(Record):
     values: tuple
 
-    @property
-    def is_zero(self) -> bool:
-        return all(u == 0 for u in self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
-
 
 def dihedral_invariants(nf: CyclicNormalForm) -> DihedralInvariants:
     """u_i = a_1^(t-i) a_i + a_delta^(t-i) a_(t-i)."""
@@ -134,23 +121,6 @@ def tau2(nf: CyclicNormalForm) -> CyclicNormalForm:
     """X -> 1/X on the normal form: a_i -> a_(t-i) (coefficient reversal)."""
     return CyclicNormalForm(case=nf.case, n=nf.n, genus=nf.genus,
                             coeffs=tuple(reversed(nf.coeffs)))
-
-
-def h_action(nf: CyclicNormalForm, generator) -> CyclicNormalForm:
-    """Apply an H-generator: "tau2" or ("tau1", eps)."""
-    if generator == "tau2":
-        return tau2(nf)
-    if isinstance(generator, (tuple, list)) and len(generator) == 2 and generator[0] == "tau1":
-        return tau1(nf, generator[1])
-    raise ConstraintError(f"unknown H generator {generator!r}")
-
-
-def extra_involution_condition(u: DihedralInvariants, g: int) -> bool:
-    """Exact test of 2^(g-1) u_1^2 - u_g^(g+1) = 0 (case 1, n = 2, delta = g)."""
-    if len(u) != g:
-        raise ConstraintError(
-            f"extra-involution test needs the case-1, n=2 tuple of length g={g}, got {len(u)}")
-    return 2 ** (g - 1) * u[0] ** 2 - u[g - 1] ** (g + 1) == 0
 
 
 # -- reconstruction ---------------------------------------------------------

@@ -27,7 +27,7 @@ from .catalogue import (CLASSIFIER_BRANCHES, SUPPORTED_GENERA, Evaluator, Moduli
                         absolute_invariants, classify_point, vanishing_profile)
 from .errors import (DomainError, GenusError, InputError, OffLocusError,
                      PoleError, RecoveryError)
-from .polynomials import (Poly, RatFunc, _clear_to_int, poly_divides, poly_gcd,
+from .polynomials import (Poly, RatFunc, _clear_to_int, _exact, poly_divides, poly_gcd,
                           square_free_part)
 from .record import Record
 from .scalars import Cyclo, canonical_order, rational_from_str
@@ -255,7 +255,7 @@ def _rational(value) -> Fraction:
         raise DomainError(f"{value} lies in Q(i, sqrt3): the locus table is evaluated "
                           "and inverted over Q only; recovery over Q(i, sqrt3) is not "
                           "supported yet")
-    return Fraction(value)
+    return Fraction(_exact(value))
 
 
 def _rational_roots(p: Poly) -> list:

@@ -212,8 +212,13 @@ class Poly(ExactRing):
 
 
 def _exact(x):
-    """An int as a Fraction; any other value unchanged."""
-    return Fraction(x) if isinstance(x, int) else x
+    """An int as a Fraction; a float is a TypeError (its binary value is no
+    exact parameter); any other value unchanged."""
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not exact; pass an int, a Fraction or a ring element")
+    return x
 
 
 def _inverse(c):
@@ -386,7 +391,3 @@ class RatFunc(ExactField):
         if d == 0:
             raise PoleError(f"pole at x = {x}", at=x)
         return self.num(x) / d
-
-
-#: the exported function name for RatFunc.eval
-ratfunc_eval = RatFunc.eval

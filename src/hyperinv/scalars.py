@@ -1,7 +1,7 @@
 """Exact scalars: rationals and the degree-4 number field Q(i, sqrt3).
 
-The base scalar is ``fractions.Fraction`` (aliased ``Rational``); it already
-carries the reduced-form/positive-denominator invariants this kernel needs.
+The base scalar is ``fractions.Fraction``; it already carries the
+reduced-form/positive-denominator invariants this kernel needs.
 ``Cyclo`` implements Q(i, sqrt3) = Q(zeta_12) on the basis {1, i, sqrt3,
 i*sqrt3}; the two conjugations i -> -i and sqrt3 -> -sqrt3 are ring
 automorphisms and every nonzero element is invertible.
@@ -16,10 +16,8 @@ import sys
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ConstraintError, ExactDivisionError, InputError, OutputSizeError
+from .errors import ExactDivisionError, InputError, OutputSizeError
 from .record import ExactField
-
-Rational = Fraction
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
@@ -244,38 +242,3 @@ class Cyclo(ExactField):
         if exponent < 0:
             return self.inverse() ** (-exponent)
         return power(self, exponent, Cyclo(1))
-
-
-#: orders of roots of unity representable in Q(i, sqrt3) = Q(zeta_12)
-REPRESENTABLE_ROOT_ORDERS = (1, 2, 3, 4, 6, 12)
-
-_PRIMITIVE_ROOTS = {
-    1: Cyclo(1),
-    2: Cyclo(-1),
-    3: Cyclo(Fraction(-1, 2), 0, 0, Fraction(1, 2)),
-    4: Cyclo.i(),
-    6: Cyclo(Fraction(1, 2), 0, 0, Fraction(1, 2)),
-    12: Cyclo(0, Fraction(1, 2), Fraction(1, 2), 0),
-}
-
-
-def root_of_unity(order: int) -> Cyclo:
-    """A primitive root of unity of the given order (order must divide 12)."""
-    try:
-        return _PRIMITIVE_ROOTS[order]
-    except KeyError:
-        raise ConstraintError(
-            f"roots of unity of order {order} are not representable in Q(i, sqrt3); "
-            f"supported orders: {REPRESENTABLE_ROOT_ORDERS}"
-        ) from None
-
-
-def roots_of_unity(order: int):
-    """All solutions of x^order = 1 in Q(i, sqrt3), starting from 1."""
-    zeta = root_of_unity(order)
-    out = []
-    acc = Cyclo(1)
-    for _ in range(order):
-        out.append(acc)
-        acc = acc * zeta
-    return tuple(out)

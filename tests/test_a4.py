@@ -4,16 +4,14 @@ import pytest
 
 from hyperinv import (BinaryForm, ConstraintError, Cyclo, DomainError,
                       GenusError, PoleError, Poly, RatFunc, a4_curve_model,
-                      a4_genus_branch, a4_orbit, a4_orbit_polynomial, build_G,
-                      classify_point, covariant_catalogue, default_table,
-                      g_has_distinct_roots, gl2_act, klein_phi, rational_model,
-                      signature_row)
+                      build_G, classify_point, covariant_catalogue, default_table,
+                      g_has_distinct_roots, gl2_act, rational_model, signature_row)
 from hyperinv.a4 import M_FACTOR_GENERA, g_coefficients
 from hyperinv.catalogue import CLASSIFIER_BRANCHES, SUPPORTED_GENERA
 from hyperinv.cyclic import MAX_GENUS
 
 from conftest import nonzero_fraction
-from oracles import map_coeffs
+from oracles import a4_orbit, a4_orbit_polynomial, klein_phi, map_coeffs
 
 
 def test_phi_poles_and_value():
@@ -110,20 +108,18 @@ def test_prefactor_identity():
 
 
 def test_genus_branch_map():
-    assert a4_genus_branch(5) == (0, "Z2xA4", 5)
-    assert a4_genus_branch(7) == (4, "Z2xA4", 1)
-    assert a4_genus_branch(9) == (8, "Z2xA4", 3)
-    assert a4_genus_branch(8) == (6, "SL2(3)", 2)
-    assert a4_genus_branch(10) == (10, "SL2(3)", 4)
-    assert a4_genus_branch(12) == (14, "SL2(3)", 0)
+    """|V ∩ W| = 2g + 2 - 12 delta of the A4 tower, from the group table."""
+    for g, group, fixed in ((5, "Z2xA4", 0), (7, "Z2xA4", 4), (9, "Z2xA4", 8),
+                            (8, "SL2(3)", 6), (10, "SL2(3)", 10), (12, "SL2(3)", 14)):
+        assert 2 * g + 2 - 12 * signature_row(group, g).delta == fixed
     for g in (-6, 0, 1, 2, 3, 6, MAX_GENUS + 1):
         with pytest.raises(GenusError):
-            a4_genus_branch(g)
+            a4_curve_model(g, [])
 
 
 def test_group_table_readers_agree():
-    """signature_row, a4_genus_branch and a4_curve_model admit the same genera
-    and read the same dimension."""
+    """signature_row and a4_curve_model admit the same genera and read the
+    same dimension."""
     for g in range(-12, 301):
         group = "Z2xA4" if g % 2 else "SL2(3)"
         try:
@@ -132,11 +128,12 @@ def test_group_table_readers_agree():
             row = None
         if row is None:
             with pytest.raises(GenusError):
-                a4_genus_branch(g)
+                a4_curve_model(g, [])
             continue
         assert row.delta >= 0
-        assert a4_genus_branch(g) == (2 * g + 2 - 12 * row.delta, group, g % 6)
         assert len(row.signature) == row.delta + 3
+        with pytest.raises(GenusError, match=f"has dimension {row.delta};"):
+            a4_curve_model(g, [Fraction(3)] * (row.delta + 1))
         if g <= 24:
             assert a4_curve_model(g, [Fraction(3)] * row.delta).degree == 2 * g + 2
 

@@ -5,8 +5,7 @@ import pytest
 
 from hyperinv import (BinaryForm, GenusError, ModuliPoint, Poly,
                       UndefinedInvariantError, UnsupportedDegreeError,
-                      absolute_invariants, catalogue_intermediates,
-                      classify_point, covariant_catalogue, gl2_act,
+                      absolute_invariants, classify_point, covariant_catalogue, gl2_act,
                       locus_parametrization, rational_model, transvect,
                       vanishing_profile)
 from hyperinv import catalogue
@@ -136,7 +135,9 @@ def test_defined_flags_by_degree():
 
 def test_intermediates_metadata():
     F = rational_model(5, Fraction(3))
-    inter = catalogue_intermediates(F)
+    ev = catalogue.Evaluator(F)
+    inter = {k: cov for k in ("J4", "J8", "J12", "J16", "M", "S")
+             if (cov := ev.covariant(k)) is not None}
     assert inter["J4"].order_m == 4 and inter["J4"].degree_p == 2
     assert inter["J8"].order_m == 8
     assert inter["M"].order_m == 8 and inter["M"].degree_p == 6
@@ -169,10 +170,9 @@ def test_covariant_transformation_law_with_nonzero_index():
     F = BinaryForm(12, [random_fraction(rng, 4, 3) for _ in range(13)])
     M = ((2, -1), (1, 1))
     det = Fraction(3)
-    before = catalogue_intermediates(F)
-    after = catalogue_intermediates(gl2_act(M, F))
+    before, after = catalogue.Evaluator(F), catalogue.Evaluator(gl2_act(M, F))
     for name in ("J4", "J8", "J12", "M"):
-        cov_a, cov_b = before[name], after[name]
+        cov_a, cov_b = before.covariant(name), after.covariant(name)
         assert cov_b.index_s == cov_a.index_s
         expect = gl2_act(M, cov_a.form) * det ** cov_a.index_s
         assert cov_b.form == expect, name

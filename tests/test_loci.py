@@ -6,11 +6,27 @@ from importlib import resources
 import pytest
 
 from hyperinv import (CubicConstraint, Cyclo, DomainError, GenusError, UndefinedInvariantError,
-                      OffLocusError, PoleError, Poly, a4_curve_model, classify_point,
-                      default_table, genus5_locus_is_singular, genus5_locus_residual,
-                      genus5_singular_point_analysis, load_locus_table,
-                      locus_parametrization, rational_model, ratfunc_eval,
+                      OffLocusError, PoleError, Poly, RatFunc, a4_curve_model, build_G,
+                      classify_point, default_table, genus5_locus_is_singular,
+                      genus5_locus_residual, genus5_singular_point_analysis,
+                      load_locus_table, locus_parametrization, rational_model,
                       recover_mu, transvect, verify_genus)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rational_model(5, 0.1),
+    lambda: locus_parametrization(5, 0.1),
+    lambda: recover_mu(5, (0.5, 0.25)),
+    lambda: a4_curve_model(5, [0.5]),
+    lambda: build_G(0.5),
+    lambda: RatFunc(Poly.x()).eval(0.5),
+], ids=["rational_model", "locus_parametrization", "recover_mu", "a4_curve_model",
+        "build_G", "RatFunc.eval"])
+def test_a_float_parameter_is_refused(call):
+    """A float's binary value is no exact parameter: each entry point refuses it
+    with a TypeError instead of computing at that value."""
+    with pytest.raises(TypeError, match=r"^float 0\.(1|5) is not exact"):
+        call()
 
 
 def test_table_loads_and_versions():
@@ -48,7 +64,7 @@ def test_first_component_pole_routes_to_constant_branch():
     # the parametrization object dispatches to the recorded constant instead
     entry = default_table().entry(5)
     with pytest.raises(PoleError):
-        ratfunc_eval(entry.p1, Fraction(-924, 5))
+        entry.p1.eval(Fraction(-924, 5))
     point = locus_parametrization(5, Fraction(-924, 5))
     assert len(point.values) == 1
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperinv import (BinaryForm, Cyclo, ExactDivisionError, PoleError, Poly, RatFunc,
-                      poly_gcd, ratfunc_eval)
+                      poly_gcd)
 from hyperinv import polynomials
 
 from conftest import rationals
@@ -124,9 +124,9 @@ def test_ratfunc_hashes_like_what_it_equals():
 
 def test_ratfunc_eval():
     f = RatFunc(MU ** 2 + 1, MU)
-    assert ratfunc_eval(f, 2) == Fraction(5, 2)
+    assert f.eval(2) == Fraction(5, 2)
     with pytest.raises(PoleError) as err:
-        ratfunc_eval(f, 0)
+        f.eval(0)
     assert err.value.at == 0
 
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperinv import (ConstraintError, Cyclo, ExactDivisionError, InputError,
-                      Poly, rational_from_str, rational_to_str, root_of_unity,
-                      roots_of_unity)
+                      Poly, rational_from_str, rational_to_str)
 
 from conftest import rationals
-from oracles import cyclo_norm
+from oracles import cyclo_norm, root_of_unity, roots_of_unity
 
 
 def cyclos(bound=10):
