@@ -20,7 +20,6 @@ from itertools import zip_longest
 from operator import mul
 
 from .catalogue import SUPPORTED_GENERA as A4_GENERA
-from .cyclic import group_row
 from .errors import ConstraintError, GenusError, InputError
 from .forms import BinaryForm
 from .polynomials import Poly, _exact, convolve
@@ -87,6 +86,8 @@ def a4_curve_model(g: int, lambdas) -> BinaryForm:
     and the dimension delta of the row for g mod 6 is >= 0 and not excluded
     there (which leaves out g = 2, 3 and 6); any other g is a GenusError.
     """
+    from .cyclic import group_row
+
     lambdas = [_exact(l) for l in lambdas]
     group = "Z2xA4" if g % 2 else "SL2(3)"
     try:

@@ -1,11 +1,9 @@
 """Locus parametrizations for the A4-type genera, moduli-to-parameter
 recovery, and the genus-5 locus equation.
 
-The parametrization table ships as a versioned JSON fixture
-(data/locus_table.json) and is read once: every polynomial and rational
-function is parsed at load time into the value the code returns (the genus-7
-constraint branch into its ``CubicConstraint``).  Where the published display
-and exact recomputation disagree, the recomputed form is active and the
+The parametrization table is the versioned JSON fixture that ``fixture``
+reads (its records are re-exported here).  Where the published display and
+exact recomputation disagree, the recomputed form is active and the
 published variant is retained with a status note.  Ground truth for every
 entry is classify_point of the matching rational model; ``verify_genus``
 re-establishes that correspondence symbolically, dispatching on what the
@@ -14,10 +12,8 @@ table row holds, not on its genus.
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import count
 from math import isqrt
 from operator import add
@@ -25,132 +21,14 @@ from operator import add
 from .a4 import M_FACTOR_GENERA, rational_model
 from .catalogue import (CLASSIFIER_BRANCHES, SUPPORTED_GENERA, Evaluator, ModuliPoint,
                         absolute_invariants, classify_point, vanishing_profile)
-from .errors import (DomainError, GenusError, InputError, OffLocusError,
-                     PoleError, RecoveryError)
-from .polynomials import (Poly, RatFunc, _clear_to_int, _exact, poly_divides, poly_gcd,
+from .errors import DomainError, GenusError, OffLocusError, PoleError, RecoveryError
+from .fixture import (CubicConstraint, LocusEntry, LocusTable, SpecialValue,
+                      default_table, load_locus_table)
+from .polynomials import (Poly, _clear_to_int, _exact, poly_divides, poly_gcd,
                           square_free_part)
-from .record import Record
-from .scalars import Cyclo, canonical_order, rational_from_str
-from .serialize import field
+from .scalars import Cyclo, canonical_order
 
 LOCUS_GENERA = SUPPORTED_GENERA
-
-
-class CubicConstraint(Record):
-    """Degenerate-branch result: the moduli value satisfies relation(p) = 0
-    whenever parameter_poly(mu) = 0 (no closed rational value exists)."""
-
-    genus: int
-    case_tag: str
-    parameter_poly: Poly
-    relation: Poly
-
-
-class SpecialValue(Record):
-    mu: Fraction
-    published: Fraction
-    recomputed: Fraction | None
-    status: str
-    case_tag: str
-    note: str = ""
-
-    @property
-    def value(self) -> Fraction:
-        """The recomputed value where one is recorded, else the published one."""
-        return self.published if self.recomputed is None else self.recomputed
-
-
-class LocusEntry(Record):
-    genus: int
-    kind: str                      # "constant" | "pair"
-    status: str
-    value: Fraction | None = None
-    p1: RatFunc | None = None
-    p2: RatFunc | None = None
-    special_values: tuple = ()
-    constraint: CubicConstraint | None = None   # special_condition
-    condition_factors: tuple = ()               # degenerate_branch
-    degenerate_note: str = ""                   # degenerate_branch
-    published_variants: dict | None = None
-    note: str = ""
-
-
-class LocusTable(Record):
-    version: str
-    entries: dict
-
-    def entry(self, genus: int) -> LocusEntry:
-        try:
-            return self.entries[genus]
-        except KeyError:
-            raise GenusError(
-                f"locus table covers genera {sorted(self.entries)}, got {genus}") from None
-
-
-def _parse_poly(strings) -> Poly:
-    if not isinstance(strings, list):
-        raise InputError(f"a polynomial must be an array of rational strings, got {strings!r}")
-    return Poly(tuple(rational_from_str(s) for s in strings))
-
-
-def _parse_ratfunc(obj) -> RatFunc:
-    return RatFunc(_parse_poly(field(obj, "num")), _parse_poly(field(obj, "den")))
-
-
-def load_locus_table(path: str = os.path.join(os.path.dirname(__file__), "data",
-                                                "locus_table.json")) -> LocusTable:
-    """Load the shipped fixture, or an override file; a malformed one raises
-    InputError, ValueError (JSON, genus keys) or ExactDivisionError.
-
-    ``special_condition.kind``/``.note`` and ``degenerate_branch.status`` are
-    documentation and stay in the JSON only."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    entries = {}
-    for key, obj in field(raw, "genera", dict).items():
-        g = int(key)
-        specials = tuple(
-            SpecialValue(
-                mu=rational_from_str(field(sv, "mu")),
-                published=rational_from_str(field(sv, "published")),
-                recomputed=(rational_from_str(sv["recomputed"])
-                            if sv.get("recomputed") else None),
-                status=field(sv, "status", str),
-                case_tag=field(sv, "case", str, ""),
-                note=field(sv, "note", str, ""),
-            )
-            for sv in field(obj, "special_values", list, ())
-        )
-        cond = field(obj, "special_condition", dict, None)
-        branch = field(obj, "degenerate_branch", dict, None)
-        kind = field(obj, "kind", str)
-        constant = kind == "constant"
-        entries[g] = LocusEntry(
-            genus=g,
-            kind=kind,
-            status=field(obj, "status", str),
-            value=rational_from_str(field(obj, "value")) if constant else None,
-            p1=None if constant else _parse_ratfunc(field(obj, "p1")),
-            p2=None if constant else _parse_ratfunc(field(obj, "p2")),
-            special_values=specials,
-            constraint=CubicConstraint(
-                genus=g,
-                case_tag=field(cond, "case", str, f"g={g}"),
-                parameter_poly=_parse_poly(field(cond, "parameter_poly")),
-                relation=_parse_poly(field(cond, "point_relation")),
-            ) if cond else None,
-            condition_factors=tuple(map(_parse_poly, field(branch, "condition_factors", list)
-                                        if branch else ())),
-            degenerate_note=field(branch, "note", str) if branch else "",
-            published_variants=field(obj, "published_variants", dict, None),
-            note=field(obj, "note", str, ""),
-        )
-    return LocusTable(version=field(raw, "version", str), entries=entries)
-
-
-@cache
-def default_table() -> LocusTable:
-    return load_locus_table()
 
 
 def locus_parametrization(genus: int, mu, table: LocusTable | None = None):

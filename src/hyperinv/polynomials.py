@@ -212,12 +212,14 @@ class Poly(ExactRing):
 
 
 def _exact(x):
-    """An int as a Fraction; a float is a TypeError (its binary value is no
-    exact parameter); any other value unchanged."""
+    """An int as a Fraction; a float or a str is a TypeError (a float's binary
+    value is no exact parameter, and text is parsed at the boundary, by
+    ``scalars.rational_from_str``); any other value unchanged."""
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        raise TypeError(f"float {x!r} is not exact; pass an int, a Fraction or a ring element")
+    if isinstance(x, (float, str)):
+        raise TypeError(f"{type(x).__name__} {x!r} is not exact; "
+                        "pass an int, a Fraction or a ring element")
     return x
 
 

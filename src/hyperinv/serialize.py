@@ -6,14 +6,16 @@ array of scalars lowest degree first; rational functions as {"num", "den"}.
 
 Form objects: {"genus": g, "degree": d, "ring": "Q"|"Qi_sqrt3"|"Q[mu]",
 "coeffs": [...]}.  All numeric output is exact strings, never floats.
+
+The record types in the encoders' annotations (``catalogue``'s and
+``cyclic``'s) are named only, not imported, so that a request which needs
+neither module does not load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .catalogue import AbsoluteInvariants, InvariantSet, ModuliPoint
-from .cyclic import CyclicNormalForm, DihedralInvariants, make_normal_form
 from .errors import InputError
 from .forms import BinaryForm
 from .polynomials import Poly, RatFunc
@@ -136,6 +138,8 @@ def normal_form_to_json(nf: CyclicNormalForm) -> dict:
 
 
 def normal_form_from_json(obj) -> CyclicNormalForm:
+    from .cyclic import make_normal_form
+
     ring = field(obj, "ring", str, "Q")
     if ring == "Q[mu]":
         raise InputError("normal-form coefficients must be Q or Qi_sqrt3 scalars")

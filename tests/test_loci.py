@@ -29,6 +29,23 @@ def test_a_float_parameter_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rational_model(5, "1e3"),
+    lambda: locus_parametrization(5, "1e3"),
+    lambda: recover_mu(5, (Fraction(1, 2), "1e3")),
+    lambda: a4_curve_model(5, ["1e3"]),
+    lambda: build_G("1e3"),
+    lambda: RatFunc(Poly.x()).eval("1e3"),
+], ids=["rational_model", "locus_parametrization", "recover_mu", "a4_curve_model",
+        "build_G", "RatFunc.eval"])
+def test_a_str_parameter_is_refused(call):
+    """Text is parsed at the boundary (``rational_from_str``, which calls
+    "1e3" malformed), so no entry point reads a str as a number: each refuses
+    it with a TypeError that names it, instead of computing at 1000."""
+    with pytest.raises(TypeError, match=r"^str '1e3' is not exact"):
+        call()
+
+
 def test_table_loads_and_versions():
     table = default_table()
     assert table.version == "1"
@@ -105,7 +122,7 @@ def test_genus7_constraint_branch_data():
 
 
 def test_fixture_polynomials_are_parsed_at_load(monkeypatch):
-    from hyperinv import loci
+    from hyperinv import fixture
     raw = _raw_fixture()["genera"]
     cond, branch = raw["7"]["special_condition"], raw["10"]["degenerate_branch"]
     table = load_locus_table()
@@ -118,7 +135,7 @@ def test_fixture_polynomials_are_parsed_at_load(monkeypatch):
     def no_parse(strings):
         raise AssertionError("fixture polynomial parsed after load")
 
-    monkeypatch.setattr(loci, "_parse_poly", no_parse)
+    monkeypatch.setattr(fixture, "_parse_poly", no_parse)
     point = locus_parametrization(7, Fraction(3), table)
     assert recover_mu(7, point, table) == [Fraction(3)]
     with pytest.raises(DomainError):
